@@ -12,7 +12,6 @@ from .infogeo import (
     BlockMatrix,
     EllipseForm,
     InfoMatrix2,
-    RangingDirection,
     SingularComplementError,
     Unlocalizable,
     dpeb,

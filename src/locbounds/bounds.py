@@ -19,6 +19,14 @@ these operations give interpretable closed forms:
 Peers whose anchor information is singular along the coupling direction
 contribute nothing (xi = 0); this conservative convention is flagged
 explicitly in the returned coefficients.
+
+``efim_bounds`` and ``efim_bounds_all`` share one array kernel over all
+(k, j) agent pairs: it reads nu and phi of every pair block of ``j_c`` at
+once (rejecting blocks that are not rank one), forms Delta and Delta~ with
+the eigen-form rule and ``_EIG_ZERO_REL`` test of ``peer_dpeb``, and sums
+J_L and J_U with ``einsum``. The scalar ``effective_rii`` is the reference
+the kernel is tested against. Identical inputs give bit-identical outputs,
+and two cooperating agents get exactly equal J_L and J_U.
 """
 
 from __future__ import annotations
@@ -150,97 +158,108 @@ def two_agent_exact(
     return _one(ja1, ja2), _one(ja2, ja1)
 
 
-def _pair_data(net: NetworkEfim) -> dict[tuple[int, int], tuple[float, float]]:
-    """Extract (nu, phi) for each cooperating pair from assembled blocks.
+def _eigen_form(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray):
+    """Elementwise (mu, eta, theta) of 2x2 blocks, the rule of ``to_ellipse``."""
+    half_tr = 0.5 * (a11 + a22)
+    disc = np.hypot(0.5 * (a11 - a22), a12)
+    mu = half_tr + disc
+    eta = np.maximum(half_tr - disc, 0.0)
+    theta = 0.5 * np.arctan2(2.0 * a12, a11 - a22)
+    theta = np.where(theta < 0.0, theta + math.pi, theta)
+    return mu, eta, np.where(mu <= eta, 0.0, theta)
 
-    Raises when a pair block is not rank one (Prop.-4-style bounds assume
-    each cooperation block is a single ranging direction).
+
+def _peer_dpeb(mu: np.ndarray, eta: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Elementwise ``peer_dpeb``: inf where the peer is singular along phi."""
+    rel = theta - phi
+    c2 = np.cos(rel) ** 2
+    s2 = np.sin(rel) ** 2
+    tol = _EIG_ZERO_REL * np.maximum(mu, 0.0)
+    along = c2 > 0.0
+    across = s2 > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(along, c2 / mu, 0.0) + np.where(across, s2 / eta, 0.0)
+    singular = (along & (mu <= tol)) | (across & (eta <= tol))
+    return np.where(singular, math.inf, delta)
+
+
+def _xi(nu: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Elementwise ``effective_rii`` discount: 0 for an infinite Delta."""
+    finite = np.isfinite(delta)
+    return np.where(finite, 1.0 / (1.0 + nu * np.where(finite, delta, 0.0)), 0.0)
+
+
+def _bounds_arrays(net: NetworkEfim):
+    """Closed-form bounds for all agents at once.
+
+    Returns (J_L, J_U) as (n, 2, 2) stacks, the (n, n) coefficient arrays
+    xi_l, xi_u and the singular-peer flags, and the (n, n) mask of
+    cooperating pairs. Raises when a pair block is not rank one
+    (Prop.-4-style bounds assume each cooperation block is a single ranging
+    direction).
     """
-    pairs: dict[tuple[int, int], tuple[float, float]] = {}
     n = net.n_agents
-    for k in range(n):
-        for m in range(k + 1, n):
-            c = -net.j_c[2 * k : 2 * k + 2, 2 * m : 2 * m + 2]
-            nu = float(np.trace(c))
-            if nu <= 0.0:
-                continue
-            phi = 0.5 * math.atan2(2.0 * c[0, 1], c[0, 0] - c[1, 1])
-            residual = c - nu * rdm(phi).as_array()
-            if float(np.max(np.abs(residual))) > 1e-8 * nu:
-                raise ValueError(
-                    f"cooperation block between agents {net.agent_ids[k]!r} and "
-                    f"{net.agent_ids[m]!r} is not rank one; the closed-form bounds "
-                    "require a single coupling direction per pair"
-                )
-            pairs[(k, m)] = (nu, phi)
-    return pairs
+    blocks = net.j_c.reshape(n, 2, n, 2).swapaxes(1, 2)
+    # (nu, phi) from the upper triangle, mirrored, so C_km and C_mk agree exactly
+    iu = np.triu_indices(n, 1)
+    c = -blocks[iu]
+    nu_u = c[:, 0, 0] + c[:, 1, 1]
+    phi_u = 0.5 * np.arctan2(2.0 * c[:, 0, 1], c[:, 0, 0] - c[:, 1, 1])
+    linked_u = nu_u > 0.0
+    nu_u = np.where(linked_u, nu_u, 0.0)
+    cos_u, sin_u = np.cos(phi_u), np.sin(phi_u)
+    rdm_u = np.stack([cos_u * cos_u, cos_u * sin_u, cos_u * sin_u, sin_u * sin_u], axis=-1)
+    rdm_u = rdm_u.reshape(-1, 2, 2)
+    residual = np.abs(c - nu_u[:, None, None] * rdm_u).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(linked_u & (residual > 1e-8 * nu_u))
+    if bad.size:
+        k, m = iu[0][bad[0]], iu[1][bad[0]]
+        raise ValueError(
+            f"cooperation block between agents {net.agent_ids[k]!r} and "
+            f"{net.agent_ids[m]!r} is not rank one; the closed-form bounds "
+            "require a single coupling direction per pair"
+        )
 
+    nu = np.zeros((n, n))
+    phi = np.zeros((n, n))
+    rdm_all = np.zeros((n, n, 2, 2))
+    for rows, cols in (iu, iu[::-1]):
+        nu[rows, cols] = nu_u
+        phi[rows, cols] = phi_u
+        rdm_all[rows, cols] = rdm_u
+    linked = nu > 0.0
+    coop = nu[:, :, None, None] * rdm_all  # nu_kj R(phi_kj), zero off the links
+    coop_sums = coop.sum(axis=1)
 
-def _adjacency(
-    pairs: dict[tuple[int, int], tuple[float, float]]
-) -> dict[int, list[tuple[int, float, float]]]:
-    """Per-agent list of (peer, nu, phi), sorted by peer index."""
-    adj: dict[int, list[tuple[int, float, float]]] = {}
-    for (a, b), (nu, phi) in pairs.items():
-        adj.setdefault(a, []).append((b, nu, phi))
-        adj.setdefault(b, []).append((a, nu, phi))
-    for entries in adj.values():
-        entries.sort()
-    return adj
-
-
-def _bounds_for_agent(
-    net: NetworkEfim,
-    k: int,
-    adjacency: dict[int, list[tuple[int, float, float]]],
-    coop_sums: np.ndarray,
-) -> tuple[InfoMatrix2, InfoMatrix2, CooperationCoeffs]:
-    """Shared core of ``efim_bounds``; ``coop_sums[j]`` pre-sums agent j's
-    cooperation RIs so each peer's inflated matrix is O(1) to form."""
-    base = net.j_a + net.xi_p
-    own = InfoMatrix2.from_array(base[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
-
-    peer_ids: list[str] = []
-    xi_l_vals: list[float] = []
-    xi_u_vals: list[float] = []
-    flags: list[bool] = []
-    low = own
-    high = own
-    for j, nu, phi in adjacency.get(k, ()):
-        peer_base = base[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
-        lower_res = effective_rii(to_ellipse(InfoMatrix2.from_array(peer_base)), nu, phi)
-
-        # J_A(p_j) plus twice the peer's other cooperation links
-        inflated = peer_base + 2.0 * (coop_sums[j] - nu * rdm(phi).as_array())
-        upper_res = effective_rii(to_ellipse(InfoMatrix2.from_array(inflated)), nu, phi)
-
-        # inflating the peer can only shrink Delta, so xi_u >= xi_l; guard
-        # the float boundary so the invariant holds exactly
-        xi_l = min(lower_res.xi, upper_res.xi)
-        xi_u = upper_res.xi
-        peer_ids.append(net.agent_ids[j])
-        xi_l_vals.append(xi_l)
-        xi_u_vals.append(xi_u)
-        flags.append(lower_res.peer_singular)
-        low = low + rdm(phi).scaled(xi_l * nu)
-        high = high + rdm(phi).scaled(xi_u * nu)
-
-    coeffs = CooperationCoeffs(
-        peer_ids=tuple(peer_ids),
-        xi_l=np.array(xi_l_vals),
-        xi_u=np.array(xi_u_vals),
-        singular_peers=tuple(flags),
+    base = (net.j_a + net.xi_p).reshape(n, 2, n, 2)
+    own = base[np.arange(n), :, np.arange(n), :]
+    # peer j as seen from agent k: its own information (lower), and that
+    # plus twice its other cooperation links (upper)
+    mu, eta, theta = _eigen_form(own[:, 0, 0], own[:, 0, 1], own[:, 1, 1])
+    delta_l = _peer_dpeb(mu[None, :], eta[None, :], theta[None, :], phi)
+    inflated = own[None, :] + 2.0 * (coop_sums[None, :] - coop)
+    delta_u = _peer_dpeb(
+        *_eigen_form(inflated[..., 0, 0], inflated[..., 0, 1], inflated[..., 1, 1]), phi
     )
-    return low, high, coeffs
+    xi_u = _xi(nu, delta_u)
+    # inflating the peer can only shrink Delta, so xi_u >= xi_l; guard the
+    # float boundary so the invariant holds exactly
+    xi_l = np.minimum(_xi(nu, delta_l), xi_u)
+    low = own + np.einsum("kj,kjab->kab", xi_l * nu, rdm_all)
+    high = own + np.einsum("kj,kjab->kab", xi_u * nu, rdm_all)
+    return low, high, xi_l, xi_u, np.isinf(delta_l), linked
 
 
-def _coop_sums(net: NetworkEfim, pairs: dict[tuple[int, int], tuple[float, float]]) -> np.ndarray:
-    sums = np.zeros((net.n_agents, 2, 2))
-    for (a, b), (nu, phi) in pairs.items():
-        block = nu * rdm(phi).as_array()
-        sums[a] += block
-        sums[b] += block
-    return sums
+def _agent_bounds(net: NetworkEfim, arrays, k: int):
+    low, high, xi_l, xi_u, singular, linked = arrays
+    peers = np.flatnonzero(linked[k])
+    coeffs = CooperationCoeffs(
+        peer_ids=tuple(net.agent_ids[j] for j in peers),
+        xi_l=xi_l[k, peers],
+        xi_u=xi_u[k, peers],
+        singular_peers=tuple(singular[k, peers].tolist()),
+    )
+    return InfoMatrix2.from_array(low[k]), InfoMatrix2.from_array(high[k]), coeffs
 
 
 def efim_bounds(
@@ -254,19 +273,13 @@ def efim_bounds(
     """
     net = topo if isinstance(topo, NetworkEfim) else build_efim(topo)
     k = net.index(agent_id)
-    pairs = _pair_data(net)
-    return _bounds_for_agent(net, k, _adjacency(pairs), _coop_sums(net, pairs))
+    return _agent_bounds(net, _bounds_arrays(net), k)
 
 
 def efim_bounds_all(
     topo: Topology | NetworkEfim,
 ) -> dict[str, tuple[InfoMatrix2, InfoMatrix2, CooperationCoeffs]]:
-    """``efim_bounds`` for every agent, sharing the pair extraction."""
+    """``efim_bounds`` for every agent from one evaluation of the kernel."""
     net = topo if isinstance(topo, NetworkEfim) else build_efim(topo)
-    pairs = _pair_data(net)
-    adjacency = _adjacency(pairs)
-    sums = _coop_sums(net, pairs)
-    return {
-        agent_id: _bounds_for_agent(net, k, adjacency, sums)
-        for k, agent_id in enumerate(net.agent_ids)
-    }
+    arrays = _bounds_arrays(net)
+    return {agent_id: _agent_bounds(net, arrays, k) for k, agent_id in enumerate(net.agent_ids)}

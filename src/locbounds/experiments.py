@@ -24,6 +24,19 @@ makes sweep comparisons common-random-number smooth. Trials are independent
 and may run in parallel; aggregation indexes results by trial and sums with
 ``math.fsum``, so the output is order-independent.
 
+``gen_dense`` draws each node from its own substream as above, then
+computes every link distance and intensity as one array. Repeat runs are
+byte-identical. Against releases that computed the intensities one link at
+a time, positions are bit-identical and an intensity may differ by up to
+2 ulp: the squared distance is now rounded once (d * d) rather than by the
+platform's ``pow``.
+
+Per-agent bounds come from one Cholesky factorization of the total
+information; only when that fails (the total is singular) is each agent
+reduced on its own with a pseudo-inverse, so one degenerate agent does not
+make the whole draw unlocalizable. Every SPEB goes through
+``infogeo.speb``, the package's one singularity rule.
+
 Outputs are CSV rows plus a JSON summary named ``<kind>_<seed>.csv/json``,
 written atomically (temp file + rename). Mean bounds skip unlocalizable
 draws and report them as an outage fraction. The intensity scale constant
@@ -46,8 +59,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import linregress
 
 from .bounds import effective_rii, efim_bounds_all
-from .infogeo import EllipseForm
-from .network import Node, Topology, build_efim
+from .infogeo import EllipseForm, InfoMatrix2, speb
+from .network import NetworkEfim, Node, Topology, agent_efim, build_efim
 from .ranging import RangingLink, rii_pathloss
 
 __all__ = [
@@ -240,20 +253,20 @@ def gen_dense(
         agents.append(Node(f"a{i}", "agent", np.array([x, y])))
 
     nodes = tuple(agents + anchors)
-    others = [n for n in nodes]
-    links: list[RangingLink] = []
-    n_links = na * (len(anchors) + na - 1)
-    fading = _fading_draws(fading_sigma_db, substream(seed, trial, _ROLE_FADING), n_links)
-    li = 0
-    for a in agents:
-        for other in others:
-            if other.node_id == a.node_id:
-                continue
-            dist = float(np.hypot(*(a.position - other.position)))
-            lam = k_const * fading[li] / dist**2
-            links.append(RangingLink(from_id=a.node_id, to_id=other.node_id, rii=lam))
-            li += 1
-    return Topology(nodes=nodes, links=tuple(links))
+    # one link per (agent i, other node j): agents in index order, then nodes
+    # in node order (agents come first); the fading draws follow that order
+    pos = np.array([n.position for n in nodes]).reshape(-1, 2)
+    rows, cols = np.nonzero(~np.eye(na, len(nodes), dtype=bool))
+    diff = pos[rows] - pos[cols]
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    fading = _fading_draws(fading_sigma_db, substream(seed, trial, _ROLE_FADING), dist.size)
+    lam = (k_const * fading / dist**2).tolist()
+    ids = [n.node_id for n in nodes]
+    links = tuple(
+        RangingLink(from_id=ids[i], to_id=ids[j], rii=rii)
+        for i, j, rii in zip(rows.tolist(), cols.tolist(), lam)
+    )
+    return Topology(nodes=nodes, links=links)
 
 
 def gen_extended(
@@ -324,34 +337,36 @@ def gen_extended(
     return Topology(nodes=nodes, links=tuple(links))
 
 
-def _per_agent_spebs(net) -> np.ndarray:
+def _per_agent_spebs(net: NetworkEfim) -> np.ndarray:
     """SPEB per agent from one factorization of the total information.
 
     The (k, k) 2x2 block of the inverse is the inverse of agent k's reduced
-    information, so its trace is the bound. Singular totals mark every agent
-    of the draw unlocalizable (inf).
+    information, so its trace is the bound. When the total is singular (it
+    cannot be factored) each agent is reduced on its own with a
+    pseudo-inverse, so only the agents that are actually unlocalizable come
+    out inf.
     """
     total = net.total.array
     n = net.n_agents
     try:
         factor = cho_factor(total, lower=True)
     except np.linalg.LinAlgError:
-        return np.full(n, np.inf)
+        return np.array(
+            [speb(agent_efim(net, agent_id, use_pinv=True)) for agent_id in net.agent_ids]
+        )
     inv = cho_solve(factor, np.eye(total.shape[0]))
     return np.array([inv[2 * k, 2 * k] + inv[2 * k + 1, 2 * k + 1] for k in range(n)])
 
 
-def _noncoop_spebs(net) -> np.ndarray:
+def _noncoop_spebs(net: NetworkEfim) -> np.ndarray:
     """Anchor-only (plus prior) SPEB per agent."""
     base = net.j_a + net.xi_p
-    out = np.empty(net.n_agents)
-    for k in range(net.n_agents):
-        blk = base[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-        tr = blk[0, 0] + blk[1, 1]
-        det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-        eig_min = 0.5 * tr - math.hypot(0.5 * (blk[0, 0] - blk[1, 1]), blk[0, 1])
-        out[k] = tr / det if eig_min > 1e-9 * max(tr, 0.0) else np.inf
-    return out
+    return np.array(
+        [
+            speb(InfoMatrix2.from_array(base[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]))
+            for k in range(net.n_agents)
+        ]
+    )
 
 
 class _Aggregate(NamedTuple):
@@ -514,8 +529,8 @@ def run_fig7(spec: ExperimentSpec) -> ExperimentResult:
                     trial=trial,
                 )
                 for low, high, _ in efim_bounds_all(build_efim(topo)).values():
-                    speb_u = _info_speb(low)  # loose bound: trace(J_L^-1)
-                    speb_l = _info_speb(high)  # tight bound: trace(J_U^-1)
+                    speb_u = speb(low)  # loose bound: trace(J_L^-1)
+                    speb_l = speb(high)  # tight bound: trace(J_U^-1)
                     if math.isinf(speb_u) or math.isinf(speb_l):
                         ratios.append(math.inf)
                     else:
@@ -539,13 +554,6 @@ def run_fig7(spec: ExperimentSpec) -> ExperimentResult:
         "mean_ratio": {f"{r['layout']}/na={r['na']}": r["mean_ratio"] for r in rows},
     }
     return ExperimentResult(spec.kind, spec.seed, columns, tuple(rows), summary)
-
-
-def _info_speb(j) -> float:
-    tr = j.trace
-    det = j.det
-    eig_min = 0.5 * tr - math.hypot(0.5 * (j.a11 - j.a22), j.a12)
-    return tr / det if eig_min > 1e-9 * max(tr, 0.0) else math.inf
 
 
 def run_fig8(spec: ExperimentSpec) -> ExperimentResult:
@@ -709,8 +717,8 @@ def _run_dense_scaling(spec: ExperimentSpec) -> ScalingResult:
             coop_vals.extend(_per_agent_spebs(net).tolist())
             nonc_vals.extend(_noncoop_spebs(net).tolist())
             for low, high, _ in efim_bounds_all(net).values():
-                upper_vals.append(_info_speb(low))
-                lower_vals.append(_info_speb(high))
+                upper_vals.append(speb(low))
+                lower_vals.append(speb(high))
         nb_eff = len(_anchor_positions(layout, spec.d_anchor)) if layout != "random" else spec.nb
         upper_means.append(_aggregate(upper_vals).mean)
         lower_means.append(_aggregate(lower_vals).mean)

@@ -34,7 +34,6 @@ __all__ = [
     "SingularComplementError",
     "InfoMatrix2",
     "EllipseForm",
-    "RangingDirection",
     "BlockMatrix",
     "rdm",
     "rdm3d",
@@ -198,21 +197,6 @@ class EllipseForm:
             (self.mu - self.eta) * s * c,
             self.mu * s * s + self.eta * c * c,
         )
-
-
-@dataclass(frozen=True)
-class RangingDirection:
-    """Bearing of one ranging observation; the unit vector q = (cos, sin)."""
-
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.phi):
-            raise ValueError("angle must be finite")
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.array([math.cos(self.phi), math.sin(self.phi)])
 
 
 def rdm(phi: float) -> InfoMatrix2:

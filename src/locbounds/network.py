@@ -20,6 +20,11 @@ agent ranging against itself over time; ``anchor_equivalence_check``
 verifies numerically that an agent with a huge position prior behaves like
 an anchor once reduced out.
 
+``build_efim`` turns a topology's links into index, intensity and bearing
+arrays once (bearings from the evaluation positions unless a link
+overrides them) and scatters the rank-one contributions into the blocks
+with ``np.add.at``; no per-link 2x2 objects are built.
+
 ``Topology`` and ``NetworkEfim`` are immutable snapshots; updates return new
 values, so concurrent readers are safe.
 """
@@ -110,20 +115,6 @@ class Node:
         if self.prior_info is not None and self.prior_mean is not None:
             return self.prior_mean
         return self.position
-
-
-def anchor(node_id: str, x: float, y: float) -> Node:
-    return Node(node_id, "anchor", np.array([x, y]))
-
-
-def agent(
-    node_id: str,
-    x: float,
-    y: float,
-    prior_info: Optional[np.ndarray] = None,
-    prior_mean: Optional[np.ndarray] = None,
-) -> Node:
-    return Node(node_id, "agent", np.array([x, y]), prior_info=prior_info, prior_mean=prior_mean)
 
 
 @dataclass(frozen=True)
@@ -248,26 +239,36 @@ class NetworkEfim:
         return -self.j_c[2 * k : 2 * k + 2, 2 * m : 2 * m + 2]
 
 
-def _pair_contributions(topo: Topology) -> dict[tuple[str, str], np.ndarray]:
-    """Cooperation blocks C_km per unordered agent pair (keyed sorted).
+def _link_terms(topo: Topology, agent_index: Mapping[str, int]):
+    """All links as arrays: receiver agent index ``k``, transmitter agent
+    index ``m`` (-1 for anchors) and contribution ``rii * R(phi)``, shape
+    (L, 2, 2), with phi from the evaluation positions unless overridden."""
+    links = topo.links
+    count = len(links)
+    slot = {node.node_id: i for i, node in enumerate(topo.nodes)}
+    pos = np.array([node.eval_position() for node in topo.nodes])
+    src = np.fromiter((slot[l.from_id] for l in links), dtype=np.intp, count=count)
+    dst = np.fromiter((slot[l.to_id] for l in links), dtype=np.intp, count=count)
+    rii = np.fromiter((l.rii for l in links), dtype=float, count=count)
+    # overrides are finite (RangingLink checks), so NaN marks "from positions"
+    override = np.fromiter(
+        (math.nan if l.phi is None else l.phi for l in links), dtype=float, count=count
+    )
+    d = pos[src] - pos[dst]
+    phi = np.where(np.isnan(override), np.arctan2(d[:, 1], d[:, 0]), override)
+    c, s = np.cos(phi), np.sin(phi)
+    terms = np.empty((count, 2, 2))
+    terms[:, 0, 0] = rii * (c * c)
+    terms[:, 0, 1] = terms[:, 1, 0] = rii * (c * s)
+    terms[:, 1, 1] = rii * (s * s)
+    agent_of = np.array([agent_index.get(node.node_id, -1) for node in topo.nodes])
+    return agent_of[src], agent_of[dst], terms
 
-    C_km sums both directions' intensities; with ``reciprocal=True`` a
-    missing reverse direction is implied at equal intensity.
-    """
-    directed: dict[tuple[str, str], np.ndarray] = {}
-    for link in topo.links:
-        if not topo.node(link.to_id).is_agent:
-            continue
-        phi, _ = topo.link_geometry(link)
-        key = (link.from_id, link.to_id)
-        directed[key] = directed.get(key, 0.0) + link.rii * rdm(phi).as_array()
-    pairs: dict[tuple[str, str], np.ndarray] = {}
-    for (f, t), mat in directed.items():
-        key = (f, t) if f < t else (t, f)
-        pairs[key] = pairs.get(key, 0.0) + mat
-        if topo.reciprocal and (t, f) not in directed:
-            pairs[key] = pairs[key] + mat
-    return pairs
+
+def _blocks(mat: np.ndarray) -> np.ndarray:
+    """(n, n, 2, 2) view of a (2n, 2n) matrix; writes go through to ``mat``."""
+    n = mat.shape[0] // 2
+    return mat.reshape(n, 2, n, 2).swapaxes(1, 2)
 
 
 def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> NetworkEfim:
@@ -275,9 +276,15 @@ def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> Ne
 
     Anchor links accumulate into the block diagonal of ``j_a``; each agent
     pair's links combine into C_km = (lambda_km + lambda_mk) R(phi_km),
-    placed on the ``j_c`` diagonal and negated off the diagonal. Independent
-    agent priors fill the block diagonal of ``xi_p``; a full PSD matrix may
-    be supplied instead for correlated priors.
+    placed on the ``j_c`` diagonal and negated off the diagonal. With
+    ``reciprocal=True`` an agent-agent link whose reverse direction is
+    absent from the topology counts twice (a reverse link that is present
+    counts as given, even at zero intensity). Independent agent priors fill
+    the block diagonal of ``xi_p``; a full PSD matrix may be supplied
+    instead for correlated priors.
+
+    The links are turned into index and contribution arrays once and
+    scattered into the blocks with ``np.add.at``.
     """
     agents = topo.agents
     if not agents:
@@ -288,20 +295,20 @@ def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> Ne
     j_a = np.zeros((n, n))
     j_c = np.zeros((n, n))
 
-    for link in topo.links:
-        dst = topo.node(link.to_id)
-        if dst.is_agent:
-            continue
-        phi, _ = topo.link_geometry(link)
-        k = index[link.from_id]
-        j_a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += link.rii * rdm(phi).as_array()
+    k, m, terms = _link_terms(topo, index)
+    to_anchor = m < 0
+    np.add.at(_blocks(j_a), (k[to_anchor], k[to_anchor]), terms[to_anchor])
 
-    for (id_a, id_b), c_block in _pair_contributions(topo).items():
-        k, m = index[id_a], index[id_b]
-        j_c[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += c_block
-        j_c[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] += c_block
-        j_c[2 * k : 2 * k + 2, 2 * m : 2 * m + 2] -= c_block
-        j_c[2 * m : 2 * m + 2, 2 * k : 2 * k + 2] -= c_block
+    coop = ~to_anchor
+    k, m, terms = k[coop], m[coop], terms[coop]
+    if topo.reciprocal:
+        implied = ~np.isin(m * n + k, k * n + m)
+        terms = terms * (1.0 + implied)[:, None, None]
+    jc = _blocks(j_c)
+    np.add.at(jc, (k, k), terms)
+    np.add.at(jc, (m, m), terms)
+    np.add.at(jc, (k, m), -terms)
+    np.add.at(jc, (m, k), -terms)
 
     if xi_p_override is not None:
         xi_p = np.array(xi_p_override, dtype=float)

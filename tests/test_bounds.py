@@ -186,3 +186,100 @@ class TestEfimBounds:
         net = build_efim(Topology(nodes, links))
         with pytest.raises(ValueError):
             efim_bounds(net, "a0")
+
+
+def _reference_bounds(net):
+    """Peer-by-peer J_L, J_U and coefficients from the scalar
+    ``effective_rii``: the loop the array kernel replaces."""
+    n = net.n_agents
+    base = net.j_a + net.xi_p
+    pairs = {}
+    for k in range(n):
+        for m in range(k + 1, n):
+            c = -net.j_c[2 * k : 2 * k + 2, 2 * m : 2 * m + 2]
+            nu = float(np.trace(c))
+            if nu > 0.0:
+                pairs[(k, m)] = (nu, 0.5 * math.atan2(2.0 * c[0, 1], c[0, 0] - c[1, 1]))
+    sums = np.zeros((n, 2, 2))
+    for (a, b), (nu, phi) in pairs.items():
+        sums[a] += nu * rdm(phi).as_array()
+        sums[b] += nu * rdm(phi).as_array()
+    out = {}
+    for k in range(n):
+        own = InfoMatrix2.from_array(base[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
+        low = high = own
+        peers, xi_ls, xi_us, flags = [], [], [], []
+        for j in range(n):
+            key = (min(k, j), max(k, j))
+            if j == k or key not in pairs:
+                continue
+            nu, phi = pairs[key]
+            peer_base = base[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
+            inflated = peer_base + 2.0 * (sums[j] - nu * rdm(phi).as_array())
+            lower = effective_rii(to_ellipse(InfoMatrix2.from_array(peer_base)), nu, phi)
+            upper = effective_rii(to_ellipse(InfoMatrix2.from_array(inflated)), nu, phi)
+            xi_l, xi_u = min(lower.xi, upper.xi), upper.xi
+            peers.append(net.agent_ids[j])
+            xi_ls.append(xi_l)
+            xi_us.append(xi_u)
+            flags.append(lower.peer_singular)
+            low = low + rdm(phi).scaled(xi_l * nu)
+            high = high + rdm(phi).scaled(xi_u * nu)
+        out[net.agent_ids[k]] = (low, high, tuple(peers), xi_ls, xi_us, tuple(flags))
+    return out
+
+
+class TestBoundsKernelReference:
+    """The array kernel against the peer-by-peer reference."""
+
+    def _check(self, net):
+        reference = _reference_bounds(net)
+        got = efim_bounds_all(net)
+        assert list(got) == list(reference)
+        for agent_id, (low, high, coeffs) in got.items():
+            ref_low, ref_high, peers, xi_l, xi_u, flags = reference[agent_id]
+            for mine, ref in ((low, ref_low), (high, ref_high)):
+                scale = max(np.abs(ref.as_array()).max(), 1e-300)
+                np.testing.assert_allclose(
+                    mine.as_array(), ref.as_array(), rtol=0, atol=1e-12 * scale
+                )
+            assert coeffs.peer_ids == peers
+            assert coeffs.singular_peers == flags
+            np.testing.assert_allclose(coeffs.xi_l, xi_l, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(coeffs.xi_u, xi_u, rtol=1e-12, atol=0)
+            single_low, single_high, single = efim_bounds(net, agent_id)
+            np.testing.assert_array_equal(single_low.as_array(), low.as_array())
+            np.testing.assert_array_equal(single_high.as_array(), high.as_array())
+            assert single.peer_ids == coeffs.peer_ids
+
+    def test_random_networks_with_priors(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            topo = random_topology(rng, n_agents=int(rng.integers(2, 12)), with_priors=True)
+            self._check(build_efim(topo))
+
+    def test_rank_starved_peers_flagged(self):
+        """Agents keeping one anchor link or none are singular peers; some
+        agent pairs lose their links too."""
+        from locbounds.network import Topology
+
+        rng = np.random.default_rng(9)
+        seen_singular = False
+        for _ in range(20):
+            topo = random_topology(rng, n_agents=int(rng.integers(3, 8)))
+            anchor_budget = {a.node_id: int(rng.integers(0, 3)) for a in topo.agents}
+            links = []
+            for link in topo.links:
+                if link.to_id.startswith("b"):
+                    if anchor_budget[link.from_id] == 0:
+                        continue
+                    anchor_budget[link.from_id] -= 1
+                elif rng.random() < 0.3:
+                    continue
+                links.append(link)
+            net = build_efim(Topology(topo.nodes, tuple(links)))
+            self._check(net)
+            seen_singular |= any(
+                any(c.singular_peers) for _, _, c in efim_bounds_all(net).values()
+            )
+        assert seen_singular

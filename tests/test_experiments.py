@@ -24,7 +24,8 @@ from locbounds.experiments import (
     _noncoop_spebs,
     _per_agent_spebs,
 )
-from locbounds.network import build_efim
+from locbounds.network import Node, Topology, build_efim
+from locbounds.ranging import RangingLink
 
 
 class TestSubstream:
@@ -196,6 +197,26 @@ class TestRunners:
             coop = _per_agent_spebs(net)
             noncoop = _noncoop_spebs(net)
             assert np.all(coop <= noncoop * (1 + 1e-9))
+
+    def test_singular_total_gives_per_agent_outage(self):
+        """a1 ranges only to a0, along x: the total information is singular,
+        yet a0 (anchors at 0, pi/2 and pi: J = diag(2, 1)) keeps its bound."""
+        nodes = (
+            Node("a0", "agent", np.zeros(2)),
+            Node("a1", "agent", np.array([3.0, 0.0])),
+            Node("b0", "anchor", np.array([5.0, 0.0])),
+            Node("b1", "anchor", np.array([0.0, 5.0])),
+            Node("b2", "anchor", np.array([-5.0, 0.0])),
+        )
+        links = (
+            RangingLink("a0", "b0", 1.0),
+            RangingLink("a0", "b1", 1.0),
+            RangingLink("a0", "b2", 1.0),
+            RangingLink("a0", "a1", 1.0, phi=0.0),
+        )
+        spebs = _per_agent_spebs(build_efim(Topology(nodes, links)))
+        assert math.isclose(spebs[0], 1.5, rel_tol=1e-12)
+        assert math.isinf(spebs[1])
 
     def test_fig7_two_agents_ratio_one(self):
         spec = default_spec("fig7", seed=5, trials=15, na_sweep=(2,), layouts=("both",))

@@ -204,6 +204,59 @@ class TestBuildEfim:
         )
 
 
+class TestBuildEfimEdgeCases:
+    """Assembly against hand-written blocks. u1 and u2 sit on the y axis, so
+    their bearing is +-pi/2 (R = diag(0, 1)); anchor A lies on the x axis of
+    u1 (R = diag(1, 0)); u3 has no links at all, so every case also checks
+    that its rows and columns stay zero."""
+
+    NODES = (
+        _agent("u1", 0.0, 0.0),
+        _agent("u2", 0.0, 2.0),
+        _agent("u3", 5.0, 5.0),
+        _anchor("A", 3.0, 0.0),
+    )
+    ANCHOR = (RangingLink("u1", "A", 0.5),)
+    X = np.diag([1.0, 0.0])
+    Y = np.diag([0.0, 1.0])
+
+    def _expected_j_c(self, c_pair):
+        j_c = np.zeros((6, 6))
+        j_c[:2, :2] = j_c[2:4, 2:4] = c_pair
+        j_c[:2, 2:4] = j_c[2:4, :2] = -c_pair
+        return j_c
+
+    def _check(self, topo, c_pair):
+        net = build_efim(topo)
+        j_a = np.zeros((6, 6))
+        j_a[:2, :2] = 0.5 * self.X
+        np.testing.assert_allclose(net.j_a, j_a, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(net.j_c, self._expected_j_c(c_pair), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(net.xi_p, np.zeros((6, 6)))
+
+    def test_present_zero_reverse_not_doubled(self):
+        """A reverse link that exists counts as given even at rii = 0."""
+        links = (
+            RangingLink("u1", "u2", 2.0),
+            RangingLink("u1", "u2", 0.0),
+            RangingLink("u2", "u1", 0.0),
+        )
+        self._check(Topology(self.NODES, self.ANCHOR + links, reciprocal=True), 2.0 * self.Y)
+
+    def test_duplicate_links_accumulate(self):
+        links = (
+            RangingLink("u1", "u2", 1.0),
+            RangingLink("u1", "u2", 0.5),
+            RangingLink("u2", "u1", 0.25),
+        )
+        self._check(Topology(self.NODES, self.ANCHOR + links), 1.75 * self.Y)
+
+    def test_agent_pair_phi_override(self):
+        """An explicit bearing wins over the positions (here x, not y)."""
+        links = (RangingLink("u1", "u2", 1.5, phi=0.0),)
+        self._check(Topology(self.NODES, self.ANCHOR + links), 1.5 * self.X)
+
+
 class TestAgentEfim:
     def test_corollary_two_worked_example(self):
         net = build_efim(two_agent_topology(nu=1.0))
