@@ -65,7 +65,6 @@ from .bounds import (
 from .experiments import (
     ExperimentResult,
     ExperimentSpec,
-    ScalingResult,
     default_spec,
     gen_dense,
     gen_extended,

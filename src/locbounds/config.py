@@ -138,7 +138,6 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
         distance = entry.get("distance_m")
         if distance is None:
             distance = float(np.hypot(*(positions[src] - positions[dst])))
-        los = entry.get("los", True)
         if "rii" in entry:
             rii = float(entry["rii"])
         elif "waveform" in entry:
@@ -151,7 +150,6 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
                 amplitudes=np.array(channel_raw["amplitudes"], dtype=float),
                 los=channel_raw.get("los", True),
             )
-            los = channel.los
             rii = rii_no_prior(waveforms[name], channel)
         else:
             pl = entry["pathloss"]
@@ -171,7 +169,6 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
                 rii=rii,
                 phi=entry.get("phi_rad"),
                 distance=entry.get("distance_m"),
-                los=los,
             )
         )
     try:

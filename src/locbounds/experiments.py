@@ -10,7 +10,8 @@ localization bounds:
 - ``run_fig8``: mean bound versus the anchor-placement scale D;
 - ``run_scaling``: log-log scaling fits in dense networks (bound ~ 1/N) and
   bounded-ratio checks in extended networks (bound ~ 1/log N for amplitude
-  loss exponent 1, constant for exponents above 1);
+  loss exponent 1, constant for exponents above 1), reported in the
+  result's summary;
 - ``lemma1_check`` / ``lemma2_check``: empirical probabilities behind the
   scaling proofs (pairwise angle spread and ranging-intensity order
   statistics).
@@ -30,6 +31,15 @@ byte-identical. Against releases that computed the intensities one link at
 a time, positions are bit-identical and an intensity may differ by up to
 2 ulp: the squared distance is now rounded once (d * d) rather than by the
 platform's ``pow``.
+
+The Monte Carlo studies (fig6, fig7, fig8, dense and extended scaling)
+run one loop: at every sweep point and trial it draws a network
+(``gen_dense`` or ``gen_extended``), assembles its EFIM (``build_efim``)
+and takes the per-agent measures the kind needs (exact cooperative or
+anchors-only SPEB, or the closed-form bounds of ``efim_bounds_all``); each
+measure is aggregated into one output row per sweep point, and the
+summary, fits included, is computed from those aggregates. ``_COLUMNS``
+lists the output columns of every kind.
 
 Per-agent bounds come from one Cholesky factorization of the total
 information; only when that fails (the total is singular) is each agent
@@ -66,7 +76,6 @@ from .ranging import RangingLink, rii_pathloss
 __all__ = [
     "ExperimentSpec",
     "ExperimentResult",
-    "ScalingResult",
     "Lemma2Result",
     "default_spec",
     "substream",
@@ -446,114 +455,42 @@ def _spec_echo(spec: ExperimentSpec) -> dict:
     }
 
 
+# Output columns per kind. In the Monte Carlo kinds the last five columns
+# hold the aggregate of one measure over a sweep point (see ``_row``).
+_SPEB_STATS = ("mean_speb_m2", "q10_m2", "q50_m2", "q90_m2", "outage")
+_COLUMNS: dict[str, tuple[str, ...]] = {
+    "fig4": ("phi", "nu", "xi", "effective_rii"),
+    "fig6": ("layout", "cooperative", "na", "trials", *_SPEB_STATS),
+    "fig7": ("layout", "na", "trials", "mean_ratio", "q10", "q50", "q90", "outage"),
+    "fig8": ("layout", "d_m", "na", "trials", *_SPEB_STATS),
+    "dense_scaling": ("cooperative", "na", "nb", "n_total", "trials", *_SPEB_STATS),
+    "extended_scaling": ("n_anchors", "radius_m", "trials", *_SPEB_STATS),
+    "lemma1": ("n", "trials", "violation_fraction"),
+    "lemma2": ("n", "trials", "lambda0", "eps", "empirical", "bound"),
+}
+
+# The Monte Carlo kinds: the spec field each one sweeps, and the fewest
+# sweep points its summary can be computed from.
+_SWEEP_FIELDS = {
+    "fig6": "na_sweep",
+    "fig7": "na_sweep",
+    "fig8": "d_sweep",
+    "dense_scaling": "na_sweep",
+    "extended_scaling": "n_sweep",
+}
+_MIN_POINTS = {"dense_scaling": 4, "extended_scaling": 2}
+
+
 def run_fig6(spec: ExperimentSpec) -> ExperimentResult:
     """Mean bound versus number of agents, per anchor layout, cooperative
     and anchors-only."""
-    sweep = spec.na_sweep or _SPEC_DEFAULTS["fig6"]["na_sweep"]
-    columns = (
-        "layout",
-        "cooperative",
-        "na",
-        "trials",
-        "mean_speb_m2",
-        "q10_m2",
-        "q50_m2",
-        "q90_m2",
-        "outage",
-    )
-    rows: list[dict] = []
-    for layout in spec.layouts:
-        for na in sweep:
-            coop_vals: list[float] = []
-            nonc_vals: list[float] = []
-            for trial in range(spec.trials):
-                topo = gen_dense(
-                    spec.seed,
-                    na,
-                    side=spec.side,
-                    anchor_layout=layout,
-                    d=spec.d_anchor,
-                    k_const=spec.k_const,
-                    fading_sigma_db=spec.fading_sigma_db,
-                    trial=trial,
-                )
-                net = build_efim(topo)
-                coop_vals.extend(_per_agent_spebs(net).tolist())
-                nonc_vals.extend(_noncoop_spebs(net).tolist())
-            for coop, vals in ((True, coop_vals), (False, nonc_vals)):
-                agg = _aggregate(vals)
-                rows.append(
-                    dict(
-                        layout=layout,
-                        cooperative=coop,
-                        na=na,
-                        trials=spec.trials,
-                        mean_speb_m2=agg.mean,
-                        q10_m2=agg.q10,
-                        q50_m2=agg.q50,
-                        q90_m2=agg.q90,
-                        outage=agg.outage,
-                    )
-                )
-    summary = _spec_echo(spec) | {
-        "layouts": list(spec.layouts),
-        "na_sweep": list(sweep),
-        "mean_speb_m2": {
-            f"{r['layout']}/{'coop' if r['cooperative'] else 'noncoop'}/na={r['na']}": r[
-                "mean_speb_m2"
-            ]
-            for r in rows
-        },
-    }
-    return ExperimentResult(spec.kind, spec.seed, columns, tuple(rows), summary)
+    return _run_study(spec, "fig6")
 
 
 def run_fig7(spec: ExperimentSpec) -> ExperimentResult:
     """Mean ratio of the lower to the upper bound approximation versus the
     number of agents: exactly 1 for two agents, in (0, 1] always."""
-    sweep = spec.na_sweep or _SPEC_DEFAULTS["fig7"]["na_sweep"]
-    columns = ("layout", "na", "trials", "mean_ratio", "q10", "q50", "q90", "outage")
-    rows: list[dict] = []
-    for layout in spec.layouts:
-        for na in sweep:
-            ratios: list[float] = []
-            for trial in range(spec.trials):
-                topo = gen_dense(
-                    spec.seed,
-                    na,
-                    side=spec.side,
-                    anchor_layout=layout,
-                    d=spec.d_anchor,
-                    k_const=spec.k_const,
-                    fading_sigma_db=spec.fading_sigma_db,
-                    trial=trial,
-                )
-                for low, high, _ in efim_bounds_all(build_efim(topo)).values():
-                    speb_u = speb(low)  # loose bound: trace(J_L^-1)
-                    speb_l = speb(high)  # tight bound: trace(J_U^-1)
-                    if math.isinf(speb_u) or math.isinf(speb_l):
-                        ratios.append(math.inf)
-                    else:
-                        ratios.append(speb_l / speb_u)
-            agg = _aggregate(ratios)
-            rows.append(
-                dict(
-                    layout=layout,
-                    na=na,
-                    trials=spec.trials,
-                    mean_ratio=agg.mean,
-                    q10=agg.q10,
-                    q50=agg.q50,
-                    q90=agg.q90,
-                    outage=agg.outage,
-                )
-            )
-    summary = _spec_echo(spec) | {
-        "layouts": list(spec.layouts),
-        "na_sweep": list(sweep),
-        "mean_ratio": {f"{r['layout']}/na={r['na']}": r["mean_ratio"] for r in rows},
-    }
-    return ExperimentResult(spec.kind, spec.seed, columns, tuple(rows), summary)
+    return _run_study(spec, "fig7")
 
 
 def run_fig8(spec: ExperimentSpec) -> ExperimentResult:
@@ -561,54 +498,195 @@ def run_fig8(spec: ExperimentSpec) -> ExperimentResult:
     cluster at the center (rank-starved geometry), rising again once
     path loss dominates; the interior minimum and the set I / set II
     crossing are reported."""
-    sweep = spec.d_sweep or _SPEC_DEFAULTS["fig8"]["d_sweep"]
-    columns = (
-        "layout",
-        "d_m",
-        "na",
-        "trials",
-        "mean_speb_m2",
-        "q10_m2",
-        "q50_m2",
-        "q90_m2",
-        "outage",
-    )
-    rows: list[dict] = []
-    for layout in spec.layouts:
-        for d in sweep:
-            vals: list[float] = []
-            for trial in range(spec.trials):
-                topo = gen_dense(
-                    spec.seed,
-                    spec.na,
-                    nb=spec.nb if layout == "random" else None,
-                    side=spec.side,
-                    anchor_layout=layout,
-                    d=d,
-                    k_const=spec.k_const,
-                    fading_sigma_db=spec.fading_sigma_db,
-                    trial=trial,
-                )
-                net = build_efim(topo)
-                vals.extend(
-                    (_per_agent_spebs(net) if spec.cooperative else _noncoop_spebs(net)).tolist()
-                )
-            agg = _aggregate(vals)
-            rows.append(
-                dict(
-                    layout=layout,
-                    d_m=float(d),
-                    na=spec.na,
-                    trials=spec.trials,
-                    mean_speb_m2=agg.mean,
-                    q10_m2=agg.q10,
-                    q50_m2=agg.q50,
-                    q90_m2=agg.q90,
-                    outage=agg.outage,
-                )
-            )
+    return _run_study(spec, "fig8")
 
-    summary = _spec_echo(spec) | {"d_sweep": list(map(float, sweep)), "layouts": list(spec.layouts)}
+
+def run_scaling(spec: ExperimentSpec) -> ExperimentResult:
+    """Scaling-law study; ``spec.kind`` picks the regime and the summary
+    holds the fits.
+
+    dense_scaling: geometric Na sweep at fixed anchors; fits the slope of
+    log(mean bound) against log(Nb + Na) (cooperative) and against log(Na)
+    (anchors only, which should be flat).
+
+    extended_scaling: node-count sweep at fixed densities; for amplitude
+    loss exponent 1 reports the spread of mean bound x log N across the
+    sweep (bounded when the bound scales as 1/log N), for exponents above 1
+    the terminal ratio (the bound converges to a constant).
+    """
+    if spec.kind not in ("dense_scaling", "extended_scaling"):
+        raise ValueError(f"not a scaling kind: {spec.kind!r}")
+    return _run_study(spec, spec.kind)
+
+
+def _run_study(spec: ExperimentSpec, kind: str) -> ExperimentResult:
+    """The Monte Carlo study ``kind``: at every sweep point, draw
+    ``spec.trials`` networks, measure every agent of each (only the
+    reference agent a0 in extended networks) and aggregate each measure
+    into a row."""
+    field = _SWEEP_FIELDS[kind]
+    sweep = tuple(getattr(spec, field) or _SPEC_DEFAULTS[kind][field])
+    if len(sweep) < _MIN_POINTS.get(kind, 0):
+        raise ValueError(f"scaling sweep needs at least {_MIN_POINTS[kind]} points")
+    if kind == "extended_scaling":
+        points = [dict(n_anchors=n, radius_m=math.sqrt(n / (math.pi * spec.rho_b))) for n in sweep]
+    elif kind == "dense_scaling":
+        layout = spec.layouts[0] if spec.layouts else "setI"
+        nb = spec.nb if layout == "random" else len(_anchor_positions(layout, spec.d_anchor))
+        points = [dict(layout=layout, na=na, nb=nb, n_total=na + nb) for na in sweep]
+    elif kind == "fig8":
+        points = [dict(layout=lay, d_m=float(d), na=spec.na) for lay in spec.layouts for d in sweep]
+    else:
+        points = [dict(layout=lay, na=na) for lay in spec.layouts for na in sweep]
+
+    # (measure, row keys) for each row of a sweep point
+    if kind in ("fig6", "dense_scaling"):
+        row_measures = (("coop", {"cooperative": True}), ("noncoop", {"cooperative": False}))
+    elif kind == "fig7":
+        row_measures = (("ratio", {}),)
+    else:
+        row_measures = (("coop" if spec.cooperative else "noncoop", {}),)
+    names = {name for name, _ in row_measures}
+    if kind == "dense_scaling":
+        names |= {"upper", "lower"}
+
+    columns = _COLUMNS[kind]
+    rows: list[dict] = []
+    means: dict[str, list[float]] = {name: [] for name in names}
+    for point in points:
+        values: dict[str, list[float]] = {name: [] for name in names}
+        for trial in range(spec.trials):
+            net = _draw(spec, kind, point, trial)
+            measured = _draw_measures(net, names)
+            agents = [net.index("a0")] if kind == "extended_scaling" else slice(None)
+            for name in names:
+                values[name].extend(measured[name][agents].tolist())
+        aggs = {name: _aggregate(vals) for name, vals in values.items()}
+        for name, agg in aggs.items():
+            means[name].append(agg.mean)
+        keys = point | {"trials": spec.trials}
+        rows += [_row(columns, keys | extra, aggs[name]) for name, extra in row_measures]
+    summary = _study_summary(spec, kind, sweep, points, rows, means)
+    return ExperimentResult(spec.kind, spec.seed, columns, tuple(rows), summary)
+
+
+def _draw(spec: ExperimentSpec, kind: str, point: dict, trial: int) -> NetworkEfim:
+    """The network of one trial at one sweep point."""
+    if kind == "extended_scaling":
+        topo = gen_extended(
+            spec.seed,
+            rho_b=spec.rho_b,
+            rho_a=spec.rho_a if spec.cooperative else 0.0,
+            radius=point["radius_m"],
+            r0=spec.r0,
+            rmax=spec.rmax,
+            b=spec.path_exponent,
+            k_const=spec.k_const,
+            poisson_counts=spec.poisson_counts,
+            fading_sigma_db=spec.fading_sigma_db,
+            trial=trial,
+        )
+    else:
+        layout = point["layout"]
+        topo = gen_dense(
+            spec.seed,
+            point["na"],
+            nb=spec.nb if layout == "random" else None,
+            side=spec.side,
+            anchor_layout=layout,
+            d=point.get("d_m", spec.d_anchor),
+            k_const=spec.k_const,
+            fading_sigma_db=spec.fading_sigma_db,
+            trial=trial,
+        )
+    return build_efim(topo)
+
+
+def _draw_measures(net: NetworkEfim, names: set[str]) -> dict[str, np.ndarray]:
+    """Per-agent values of the named measures on one network.
+
+    "coop" and "noncoop" are the cooperative and anchors-only SPEB. From
+    the closed-form bounds, "upper" is the SPEB of J_L (the loose bound),
+    "lower" that of J_U (the tight one) and "ratio" is lower / upper, inf
+    where either is.
+    """
+    out: dict[str, np.ndarray] = {}
+    if "coop" in names:
+        out["coop"] = _per_agent_spebs(net)
+    if "noncoop" in names:
+        out["noncoop"] = _noncoop_spebs(net)
+    if not names.isdisjoint(("upper", "lower", "ratio")):
+        pairs = [(speb(low), speb(high)) for low, high, _ in efim_bounds_all(net).values()]
+        out["upper"] = np.array([upper for upper, _ in pairs])
+        out["lower"] = np.array([lower for _, lower in pairs])
+        out["ratio"] = np.array(
+            [
+                math.inf if math.isinf(upper) or math.isinf(lower) else lower / upper
+                for upper, lower in pairs
+            ]
+        )
+    return out
+
+
+def _row(columns: tuple[str, ...], keys: dict, agg: _Aggregate) -> dict:
+    """One output row: the sweep point's ``keys``, then mean, quantiles and
+    outage of ``agg`` in the last five columns."""
+    values = keys | dict(zip(columns[-5:], agg[:5]))
+    return {c: values[c] for c in columns}
+
+
+def _study_summary(
+    spec: ExperimentSpec,
+    kind: str,
+    sweep: tuple,
+    points: list[dict],
+    rows: list[dict],
+    means: dict[str, list[float]],
+) -> dict:
+    """JSON summary of a Monte Carlo study; ``means`` holds each measure's
+    mean at every one of ``points``."""
+    scaling = {"kind": spec.kind, "seed": spec.seed, "sweep": list(sweep)}
+    if kind == "dense_scaling":
+        n_total = [p["n_total"] for p in points]
+        # The closed-form approximations are the objects the asymptotic
+        # argument manipulates; their fits are reported next to the exact one
+        # so the transition regime is visible.
+        return scaling | {
+            "cooperative_fit_vs_log_n_total": _fit_loglog(n_total, means["coop"]),
+            "upper_approx_fit_vs_log_n_total": _fit_loglog(n_total, means["upper"]),
+            "lower_approx_fit_vs_log_n_total": _fit_loglog(n_total, means["lower"]),
+            "noncooperative_fit_vs_log_na": _fit_loglog(list(sweep), means["noncoop"]),
+            "layout": points[0]["layout"],
+        }
+    if kind == "extended_scaling":
+        mean = [r["mean_speb_m2"] for r in rows]
+        products = [m * math.log(n) for m, n in zip(mean, sweep)]
+        return scaling | {
+            "path_exponent": spec.path_exponent,
+            "mean_times_log_n": products,
+            "mean_times_log_n_spread": max(products) / min(products),
+            "terminal_ratio": mean[-1] / mean[-2],
+        }
+
+    summary = _spec_echo(spec)
+    if kind == "fig8":
+        summary |= {"d_sweep": list(map(float, sweep)), "layouts": list(spec.layouts)}
+        return summary | _fig8_minima(rows)
+    if kind == "fig6":
+        label = lambda r: f"{r['layout']}/{'coop' if r['cooperative'] else 'noncoop'}/na={r['na']}"
+    else:
+        label = lambda r: f"{r['layout']}/na={r['na']}"
+    stat = _COLUMNS[kind][-5]
+    return summary | {
+        "layouts": list(spec.layouts),
+        "na_sweep": list(sweep),
+        stat: {label(r): r[stat] for r in rows},
+    }
+
+
+def _fig8_minima(rows: list[dict]) -> dict:
+    """Per layout, the D of the least mean bound; and where set I and set II
+    cross, if both were run."""
     by_layout: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
         by_layout.setdefault(r["layout"], []).append((r["d_m"], r["mean_speb_m2"]))
@@ -622,12 +700,12 @@ def run_fig8(spec: ExperimentSpec) -> ExperimentResult:
             "mean_speb_m2": means[k],
             "interior": 0 < k < len(pts) - 1,
         }
-    summary["minima"] = minima
+    out: dict = {"minima": minima}
     if "setI" in by_layout and "setII" in by_layout:
-        summary["setI_minus_setII_sign_change_d_m"] = _sign_change(
+        out["setI_minus_setII_sign_change_d_m"] = _sign_change(
             by_layout["setI"], by_layout["setII"]
         )
-    return ExperimentResult(spec.kind, spec.seed, columns, tuple(rows), summary)
+    return out
 
 
 def _sign_change(
@@ -641,25 +719,8 @@ def _sign_change(
     return None
 
 
-@dataclass(frozen=True)
-class ScalingResult:
-    """Per-sweep-point statistics plus the fitted log-log behavior."""
-
-    kind: str
-    seed: int
-    sweep: tuple[int, ...]
-    rows: tuple[dict, ...]
-    fits: dict
-
-    def to_experiment_result(self, columns: tuple[str, ...]) -> ExperimentResult:
-        summary = {"kind": self.kind, "seed": self.seed, "sweep": list(self.sweep)} | self.fits
-        return ExperimentResult(self.kind, self.seed, columns, self.rows, summary)
-
-
 def _fit_loglog(x: Sequence[float], y: Sequence[float]) -> dict:
     """Slope of log y against log x with a 95% confidence half-width."""
-    if len(x) < 4:
-        raise ValueError("scaling sweep needs at least 4 points")
     res = linregress(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
     return {
         "slope": float(res.slope),
@@ -668,138 +729,6 @@ def _fit_loglog(x: Sequence[float], y: Sequence[float]) -> dict:
         "r_value": float(res.rvalue),
     }
 
-
-def run_scaling(spec: ExperimentSpec) -> ScalingResult:
-    """Scaling-law study; ``spec.kind`` picks the regime.
-
-    dense_scaling: geometric Na sweep at fixed anchors; fits the slope of
-    log(mean bound) against log(Nb + Na) (cooperative) and against log(Na)
-    (anchors only, which should be flat).
-
-    extended_scaling: node-count sweep at fixed densities; for amplitude
-    loss exponent 1 reports the spread of mean bound x log N across the
-    sweep (bounded when the bound scales as 1/log N), for exponents above 1
-    the terminal ratio (the bound converges to a constant).
-    """
-    if spec.kind == "dense_scaling":
-        return _run_dense_scaling(spec)
-    if spec.kind == "extended_scaling":
-        return _run_extended_scaling(spec)
-    raise ValueError(f"not a scaling kind: {spec.kind!r}")
-
-
-def _run_dense_scaling(spec: ExperimentSpec) -> ScalingResult:
-    sweep = tuple(spec.na_sweep or _SPEC_DEFAULTS["dense_scaling"]["na_sweep"])
-    layout = spec.layouts[0] if spec.layouts else "setI"
-    rows: list[dict] = []
-    coop_means: list[float] = []
-    nonc_means: list[float] = []
-    upper_means: list[float] = []
-    lower_means: list[float] = []
-    for na in sweep:
-        coop_vals: list[float] = []
-        nonc_vals: list[float] = []
-        upper_vals: list[float] = []
-        lower_vals: list[float] = []
-        for trial in range(spec.trials):
-            topo = gen_dense(
-                spec.seed,
-                na,
-                nb=spec.nb if layout == "random" else None,
-                side=spec.side,
-                anchor_layout=layout,
-                d=spec.d_anchor,
-                k_const=spec.k_const,
-                fading_sigma_db=spec.fading_sigma_db,
-                trial=trial,
-            )
-            net = build_efim(topo)
-            coop_vals.extend(_per_agent_spebs(net).tolist())
-            nonc_vals.extend(_noncoop_spebs(net).tolist())
-            for low, high, _ in efim_bounds_all(net).values():
-                upper_vals.append(speb(low))
-                lower_vals.append(speb(high))
-        nb_eff = len(_anchor_positions(layout, spec.d_anchor)) if layout != "random" else spec.nb
-        upper_means.append(_aggregate(upper_vals).mean)
-        lower_means.append(_aggregate(lower_vals).mean)
-        for coop, vals, store in ((True, coop_vals, coop_means), (False, nonc_vals, nonc_means)):
-            agg = _aggregate(vals)
-            store.append(agg.mean)
-            rows.append(
-                dict(
-                    cooperative=coop,
-                    na=na,
-                    nb=nb_eff,
-                    n_total=na + nb_eff,
-                    trials=spec.trials,
-                    mean_speb_m2=agg.mean,
-                    q10_m2=agg.q10,
-                    q50_m2=agg.q50,
-                    q90_m2=agg.q90,
-                    outage=agg.outage,
-                )
-            )
-    nb_eff = rows[0]["nb"]
-    n_total = [na + nb_eff for na in sweep]
-    # The closed-form approximations are the objects the asymptotic argument
-    # manipulates; their fits are reported next to the exact one so the
-    # transition regime is visible.
-    fits = {
-        "cooperative_fit_vs_log_n_total": _fit_loglog(n_total, coop_means),
-        "upper_approx_fit_vs_log_n_total": _fit_loglog(n_total, upper_means),
-        "lower_approx_fit_vs_log_n_total": _fit_loglog(n_total, lower_means),
-        "noncooperative_fit_vs_log_na": _fit_loglog(list(sweep), nonc_means),
-        "layout": layout,
-    }
-    return ScalingResult(spec.kind, spec.seed, sweep, tuple(rows), fits)
-
-
-def _run_extended_scaling(spec: ExperimentSpec) -> ScalingResult:
-    sweep = tuple(spec.n_sweep or _SPEC_DEFAULTS["extended_scaling"]["n_sweep"])
-    rows: list[dict] = []
-    means: list[float] = []
-    for n_nodes in sweep:
-        radius = math.sqrt(n_nodes / (math.pi * spec.rho_b))
-        vals: list[float] = []
-        for trial in range(spec.trials):
-            topo = gen_extended(
-                spec.seed,
-                rho_b=spec.rho_b,
-                rho_a=spec.rho_a if spec.cooperative else 0.0,
-                radius=radius,
-                r0=spec.r0,
-                rmax=spec.rmax,
-                b=spec.path_exponent,
-                k_const=spec.k_const,
-                poisson_counts=spec.poisson_counts,
-                fading_sigma_db=spec.fading_sigma_db,
-                trial=trial,
-            )
-            net = build_efim(topo)
-            spebs = _per_agent_spebs(net) if spec.cooperative else _noncoop_spebs(net)
-            vals.append(float(spebs[net.index("a0")]))  # reference agent at the center
-        agg = _aggregate(vals)
-        means.append(agg.mean)
-        rows.append(
-            dict(
-                n_anchors=n_nodes,
-                radius_m=radius,
-                trials=spec.trials,
-                mean_speb_m2=agg.mean,
-                q10_m2=agg.q10,
-                q50_m2=agg.q50,
-                q90_m2=agg.q90,
-                outage=agg.outage,
-            )
-        )
-    products = [m * math.log(n) for m, n in zip(means, sweep)]
-    fits: dict = {
-        "path_exponent": spec.path_exponent,
-        "mean_times_log_n": products,
-        "mean_times_log_n_spread": max(products) / min(products),
-        "terminal_ratio": means[-1] / means[-2],
-    }
-    return ScalingResult(spec.kind, spec.seed, sweep, tuple(rows), fits)
 
 
 def angle_pair_spread(phis: np.ndarray) -> float:
@@ -874,7 +803,6 @@ def _run_fig4(spec: ExperimentSpec) -> ExperimentResult:
     peer = EllipseForm(2.0, 1.0, 0.0)
     nus = [10.0 ** (k / 4.0) for k in range(-8, 25)]
     angles = {"0": 0.0, "pi/4": math.pi / 4.0, "pi/2": math.pi / 2.0}
-    columns = ("phi", "nu", "xi", "effective_rii")
     rows = []
     for label, phi in angles.items():
         for nu in nus:
@@ -885,55 +813,23 @@ def _run_fig4(spec: ExperimentSpec) -> ExperimentResult:
         for label, phi in angles.items()
     }
     summary = _spec_echo(spec) | {"asymptotic_limits": limits}
-    return ExperimentResult(spec.kind, spec.seed, columns, tuple(rows), summary)
+    return ExperimentResult(spec.kind, spec.seed, _COLUMNS["fig4"], tuple(rows), summary)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Dispatch a spec to its runner and return uniform result rows."""
+    if spec.kind in _SWEEP_FIELDS:
+        return _run_study(spec, spec.kind)
     if spec.kind == "fig4":
         return _run_fig4(spec)
-    if spec.kind == "fig6":
-        return run_fig6(spec)
-    if spec.kind == "fig7":
-        return run_fig7(spec)
-    if spec.kind == "fig8":
-        return run_fig8(spec)
-    if spec.kind in ("dense_scaling", "extended_scaling"):
-        result = run_scaling(spec)
-        if spec.kind == "dense_scaling":
-            columns = (
-                "cooperative",
-                "na",
-                "nb",
-                "n_total",
-                "trials",
-                "mean_speb_m2",
-                "q10_m2",
-                "q50_m2",
-                "q90_m2",
-                "outage",
-            )
-        else:
-            columns = (
-                "n_anchors",
-                "radius_m",
-                "trials",
-                "mean_speb_m2",
-                "q10_m2",
-                "q50_m2",
-                "q90_m2",
-                "outage",
-            )
-        return result.to_experiment_result(columns)
+    columns = _COLUMNS[spec.kind]
     if spec.kind == "lemma1":
         fraction = lemma1_check(spec.n_angles, spec.trials, spec.seed)
-        columns = ("n", "trials", "violation_fraction")
         rows = (dict(n=spec.n_angles, trials=spec.trials, violation_fraction=fraction),)
         summary = _spec_echo(spec) | {"n": spec.n_angles, "violation_fraction": fraction}
         return ExperimentResult(spec.kind, spec.seed, columns, rows, summary)
     if spec.kind == "lemma2":
         res = lemma2_check(spec.n_order, spec.lambda0, spec.trials, spec.seed)
-        columns = ("n", "trials", "lambda0", "eps", "empirical", "bound")
         rows = (
             dict(
                 n=spec.n_order,

@@ -288,7 +288,6 @@ class RangingLink:
     rii: float
     phi: Optional[float] = None
     distance: Optional[float] = None
-    los: bool = True
 
     def __post_init__(self) -> None:
         if self.from_id == self.to_id:

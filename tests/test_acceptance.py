@@ -323,9 +323,9 @@ def test_c10_dense_scaling_exponent():
     start = time.perf_counter()
     spec = default_spec("dense_scaling", seed=1100, trials=200)
     result = run_scaling(spec)
-    coop = result.fits["cooperative_fit_vs_log_n_total"]["slope"]
-    upper = result.fits["upper_approx_fit_vs_log_n_total"]["slope"]
-    noncoop = result.fits["noncooperative_fit_vs_log_na"]["slope"]
+    coop = result.summary["cooperative_fit_vs_log_n_total"]["slope"]
+    upper = result.summary["upper_approx_fit_vs_log_n_total"]["slope"]
+    noncoop = result.summary["noncooperative_fit_vs_log_na"]["slope"]
     elapsed = time.perf_counter() - start
     noncoop_ok = -0.1 <= noncoop <= 0.1
     coop_ok = -1.2 <= coop <= -0.8
@@ -344,11 +344,11 @@ def test_c11_extended_scaling():
     exponent 2 the bound converges (terminal ratio in [0.5, 1.5]). <10 min."""
     start = time.perf_counter()
     b1 = run_scaling(default_spec("extended_scaling", seed=1101, trials=200))
-    spread = b1.fits["mean_times_log_n_spread"]
+    spread = b1.summary["mean_times_log_n_spread"]
     b2 = run_scaling(
         default_spec("extended_scaling", seed=1102, trials=200, path_exponent=2.0)
     )
-    ratio = b2.fits["terminal_ratio"]
+    ratio = b2.summary["terminal_ratio"]
     elapsed = time.perf_counter() - start
     _report(
         11,

@@ -216,6 +216,26 @@ class TestExperimentCommand:
         rows = (tmp_path / "fig7_2.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header plus the single sweep point
 
+    def test_one_point_extended_sweep_exit_one(self, tmp_path, capsys):
+        """The terminal ratio needs two sweep points; one is an input error."""
+        doc = {
+            "version": 1,
+            "experiment": {"kind": "extended_scaling", "trials": 2, "n_sweep": [64]},
+        }
+        code = main(
+            [
+                "experiment",
+                "extended_scaling",
+                "--config",
+                write_config(tmp_path, doc),
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("extended_scaling_*"))
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         target = tmp_path / "file"
         target.write_text("x")

@@ -218,6 +218,14 @@ class TestRunners:
         assert math.isclose(spebs[0], 1.5, rel_tol=1e-12)
         assert math.isinf(spebs[1])
 
+    def test_fig6_fig7_random_layout(self):
+        """The random anchor layout draws spec.nb anchors in fig6 and fig7
+        as it does in fig8 and dense scaling."""
+        for kind in ("fig6", "fig7"):
+            spec = default_spec(kind, seed=4, trials=3, na_sweep=(2,), layouts=("random",), nb=5)
+            rows = run_experiment(spec).rows
+            assert rows and all(r["layout"] == "random" for r in rows)
+
     def test_fig7_two_agents_ratio_one(self):
         spec = default_spec("fig7", seed=5, trials=15, na_sweep=(2,), layouts=("both",))
         rows = run_fig7(spec).rows
@@ -241,7 +249,7 @@ class TestRunners:
         spec = default_spec(
             "dense_scaling", seed=2, trials=25, na_sweep=(4, 8, 16, 32)
         )
-        fits = run_scaling(spec).fits
+        fits = run_scaling(spec).summary
         assert abs(fits["noncooperative_fit_vs_log_na"]["slope"]) < 0.1
 
     def test_scaling_fit_reproducible_across_seed_sets(self):
@@ -251,7 +259,7 @@ class TestRunners:
             spec = default_spec(
                 "dense_scaling", seed=seed, trials=40, na_sweep=(4, 8, 16, 32)
             )
-            fits.append(run_scaling(spec).fits["cooperative_fit_vs_log_n_total"])
+            fits.append(run_scaling(spec).summary["cooperative_fit_vs_log_n_total"])
         lo = max(f["slope"] - f["ci95"] for f in fits)
         hi = min(f["slope"] + f["ci95"] for f in fits)
         assert lo <= hi
@@ -282,7 +290,7 @@ class TestRunners:
         spec = default_spec(
             "extended_scaling", seed=2, trials=10, n_sweep=(16, 32, 64, 128)
         )
-        fits = run_scaling(spec).fits
+        fits = run_scaling(spec).summary
         assert len(fits["mean_times_log_n"]) == 4
         assert fits["mean_times_log_n_spread"] >= 1.0
 
