@@ -41,15 +41,17 @@ measure is aggregated into one output row per sweep point, and the
 summary, fits included, is computed from those aggregates. ``_COLUMNS``
 lists the output columns of every kind.
 
-Per-agent bounds come from one Cholesky factorization of the total
-information; only when that fails (the total is singular) is each agent
-reduced on its own with a pseudo-inverse, so one degenerate agent does not
-make the whole draw unlocalizable. Every SPEB goes through
-``infogeo.speb``, the package's one singularity rule.
+Per-agent exact bounds are the SPEBs of ``NetworkEfim.agent_info``: every
+agent's equivalent information from one recursive-halving Schur reduction,
+with per-agent pseudo-inverse reductions only when the total information
+may be singular, so one degenerate agent does not make the whole draw
+unlocalizable. Every SPEB applies ``infogeo.is_singular``, the
+package's one singularity rule.
 
 Outputs are CSV rows plus a JSON summary named ``<kind>_<seed>.csv/json``,
-written atomically (temp file + rename). Mean bounds skip unlocalizable
-draws and report them as an outage fraction. The intensity scale constant
+written atomically (temp file + rename); the JSON holds null where a
+summary value is not finite. Mean bounds skip unlocalizable draws and
+report them as an outage fraction. The intensity scale constant
 ``k_const`` is arbitrary (absolute bound values are not comparable across
 conventions; shapes and slopes are what these studies assert).
 """
@@ -65,12 +67,13 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+# unused here; perfbench/layertrace.py traces these names as the exact layer
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 from scipy.stats import linregress
 
 from .bounds import effective_rii, efim_bounds_all
-from .infogeo import EllipseForm, InfoMatrix2, speb
-from .network import NetworkEfim, Node, Topology, agent_efim, build_efim
+from .infogeo import EllipseForm, speb, speb_blocks
+from .network import NetworkEfim, Node, Topology, build_efim
 from .ranging import RangingLink, rii_pathloss
 
 __all__ = [
@@ -347,35 +350,15 @@ def gen_extended(
 
 
 def _per_agent_spebs(net: NetworkEfim) -> np.ndarray:
-    """SPEB per agent from one factorization of the total information.
-
-    The (k, k) 2x2 block of the inverse is the inverse of agent k's reduced
-    information, so its trace is the bound. When the total is singular (it
-    cannot be factored) each agent is reduced on its own with a
-    pseudo-inverse, so only the agents that are actually unlocalizable come
-    out inf.
-    """
-    total = net.total.array
-    n = net.n_agents
-    try:
-        factor = cho_factor(total, lower=True)
-    except np.linalg.LinAlgError:
-        return np.array(
-            [speb(agent_efim(net, agent_id, use_pinv=True)) for agent_id in net.agent_ids]
-        )
-    inv = cho_solve(factor, np.eye(total.shape[0]))
-    return np.array([inv[2 * k, 2 * k] + inv[2 * k + 1, 2 * k + 1] for k in range(n)])
+    """Exact (cooperative) SPEB per agent."""
+    return speb_blocks(net.agent_info)
 
 
 def _noncoop_spebs(net: NetworkEfim) -> np.ndarray:
     """Anchor-only (plus prior) SPEB per agent."""
-    base = net.j_a + net.xi_p
-    return np.array(
-        [
-            speb(InfoMatrix2.from_array(base[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]))
-            for k in range(net.n_agents)
-        ]
-    )
+    k = np.arange(net.n_agents)
+    base = (net.j_a + net.xi_p).reshape(net.n_agents, 2, net.n_agents, 2)
+    return speb_blocks(base[k, :, k, :])
 
 
 class _Aggregate(NamedTuple):
@@ -413,7 +396,10 @@ class ExperimentResult:
         csv_path = os.path.join(out_dir, f"{self.kind}_{self.seed}.csv")
         json_path = os.path.join(out_dir, f"{self.kind}_{self.seed}.json")
         _atomic_write(csv_path, self._csv_text())
-        _atomic_write(json_path, json.dumps(self.summary, indent=2, sort_keys=True) + "\n")
+        summary = _finite_or_null(self.summary)
+        _atomic_write(
+            json_path, json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        )
         return csv_path, json_path
 
     def _csv_text(self) -> str:
@@ -425,6 +411,18 @@ class ExperimentResult:
         for row in self.rows:
             writer.writerow([_csv_cell(row[c]) for c in self.columns])
         return buf.getvalue()
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None:
+    JSON has no NaN or infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _csv_cell(value) -> str:
@@ -528,10 +526,12 @@ def _run_study(spec: ExperimentSpec, kind: str) -> ExperimentResult:
     sweep = tuple(getattr(spec, field) or _SPEC_DEFAULTS[kind][field])
     if len(sweep) < _MIN_POINTS.get(kind, 0):
         raise ValueError(f"scaling sweep needs at least {_MIN_POINTS[kind]} points")
+    if kind != "extended_scaling" and not spec.layouts:
+        raise ValueError(f"{kind} needs at least one anchor layout")
     if kind == "extended_scaling":
         points = [dict(n_anchors=n, radius_m=math.sqrt(n / (math.pi * spec.rho_b))) for n in sweep]
     elif kind == "dense_scaling":
-        layout = spec.layouts[0] if spec.layouts else "setI"
+        layout = spec.layouts[0]
         nb = spec.nb if layout == "random" else len(_anchor_positions(layout, spec.d_anchor))
         points = [dict(layout=layout, na=na, nb=nb, n_total=na + nb) for na in sweep]
     elif kind == "fig8":

@@ -8,7 +8,10 @@ symmetric positive semi-definite information matrices (units 1/m^2):
 - ``to_ellipse`` / ``EllipseForm.to_matrix`` convert between the matrix and
   its (mu, eta, theta) eigen-parametrization, i.e. the information ellipse;
 - ``speb`` / ``dpeb`` evaluate the squared and directional position error
-  bounds trace(J^-1) and u^T J^-1 u;
+  bounds trace(J^-1) and u^T J^-1 u; ``speb_blocks`` is ``speb`` over a
+  stack of blocks (``min_eig_blocks`` gives their smallest eigenvalues),
+  and ``is_singular`` is the one singularity rule all of them (and the
+  network reduction) apply;
 - ``schur_reduce`` performs the equivalent-information reduction
   A - B C^-1 B^T on block matrices;
 - ``fuse_anchor`` applies the closed-form ellipse update for one extra
@@ -38,7 +41,10 @@ __all__ = [
     "rdm",
     "rdm3d",
     "to_ellipse",
+    "is_singular",
     "speb",
+    "speb_blocks",
+    "min_eig_blocks",
     "dpeb",
     "schur_reduce",
     "fuse_anchor",
@@ -113,16 +119,11 @@ class InfoMatrix2:
             object.__setattr__(self, name, v)
         tr = self.a11 + self.a22
         tol = PSD_TOL * max(tr, 0.0)
-        if self.a11 < -tol or self.a22 < -tol or self._min_eig() < -tol:
+        if self.a11 < -tol or self.a22 < -tol or self.eigenvalues()[1] < -tol:
             raise ValueError(
                 f"InfoMatrix2 is not PSD within tolerance: "
                 f"[[{self.a11}, {self.a12}], [{self.a12}, {self.a22}]]"
             )
-
-    def _min_eig(self) -> float:
-        half_tr = 0.5 * (self.a11 + self.a22)
-        disc = math.hypot(0.5 * (self.a11 - self.a22), self.a12)
-        return half_tr - disc
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "InfoMatrix2":
@@ -245,6 +246,14 @@ def to_ellipse(j: InfoMatrix2) -> EllipseForm:
     return EllipseForm(mu, eta, wrap_angle(theta))
 
 
+def is_singular(trace, eig_min):
+    """The singularity rule: information whose smallest eigenvalue is at most
+    ``PSD_TOL`` times its own (nonnegative) trace cannot bound the error.
+    Takes floats or arrays alike."""
+    # 0.5 * (t + |t|) is exactly max(t, 0), for floats and arrays
+    return eig_min <= PSD_TOL * 0.5 * (trace + abs(trace))
+
+
 def speb(j: InfoMatrix2) -> float:
     """Squared position error bound trace(J^-1) = 1/mu + 1/eta.
 
@@ -253,9 +262,26 @@ def speb(j: InfoMatrix2) -> float:
     """
     tr = j.trace
     _, eig_min = j.eigenvalues()
-    if eig_min <= PSD_TOL * max(tr, 0.0):
+    if is_singular(tr, eig_min):
         return UNLOCALIZABLE
     return tr / j.det
+
+
+def min_eig_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every symmetric 2x2 block of an (n, 2, 2)
+    stack, in the closed form of ``InfoMatrix2.eigenvalues``."""
+    a11, a12, a22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    return 0.5 * (a11 + a22) - np.hypot(0.5 * (a11 - a22), a12)
+
+
+def speb_blocks(blocks: np.ndarray) -> np.ndarray:
+    """``speb`` of every symmetric 2x2 block of an (n, 2, 2) stack, with inf
+    where ``is_singular`` holds."""
+    a11, a12, a22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    tr = a11 + a22
+    singular = is_singular(tr, min_eig_blocks(blocks))
+    det = np.where(singular, 1.0, a11 * a22 - a12 * a12)
+    return np.where(singular, math.inf, tr / det)
 
 
 def dpeb(j: InfoMatrix2, u: Sequence[float]) -> float:
@@ -265,9 +291,8 @@ def dpeb(j: InfoMatrix2, u: Sequence[float]) -> float:
         raise ValueError("direction must be a 2-vector")
     if abs(float(u @ u) - 1.0) > 1e-9:
         raise ValueError("direction must have unit norm")
-    tr = j.trace
     _, eig_min = j.eigenvalues()
-    if eig_min <= PSD_TOL * max(tr, 0.0):
+    if is_singular(j.trace, eig_min):
         return UNLOCALIZABLE
     # Closed 2x2 inverse: J^-1 = adj(J) / det.
     quad = j.a22 * u[0] * u[0] - 2.0 * j.a12 * u[0] * u[1] + j.a11 * u[1] * u[1]

@@ -14,6 +14,12 @@ When agents carry position priors, the ranging geometry is evaluated at the
 prior means (the concentrated-prior regime); the fully general expectation
 over random positions is out of scope.
 
+``NetworkEfim.agent_info`` holds every agent's equivalent information, the
+Schur complement of the total onto that agent, from one recursive-halving
+pass (see ``_halving_reduce``); ``agent_efim(..., use_pinv=True)`` and the
+Monte Carlo studies read it, so the reduction and its singularity verdict
+are decided here alone.
+
 ``join``/``leave`` update an assembled network incrementally and agree with
 batch re-assembly; ``temporal_efim`` reuses the same machinery for a single
 agent ranging against itself over time; ``anchor_equivalence_check``
@@ -37,14 +43,18 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .infogeo import (
     PSD_TOL,
     BlockMatrix,
     InfoMatrix2,
     SingularComplementError,
+    is_singular,
+    min_eig_blocks,
     rdm,
     schur_reduce,
+    speb_blocks,
 )
 from .ranging import RangingLink
 
@@ -217,6 +227,36 @@ class NetworkEfim:
     def total(self) -> BlockMatrix:
         return BlockMatrix(self.j_a + self.j_c + self.xi_p)
 
+    @cached_property
+    def agent_info(self) -> np.ndarray:
+        """Every agent's equivalent information, an (n_agents, 2, 2) stack.
+
+        Block k is the Schur complement of the total onto agent k, from one
+        recursive-halving pass over all agents, which is used only when the
+        total and so every block is regular by ``speb``'s rule (see
+        ``_halving_reduce``). Otherwise each agent is reduced on its own
+        with a pseudo-inverse (see ``_pinv_reduce``), agents in a
+        cooperation component without anchor or prior information get zero
+        blocks (see ``_unanchored``), and eigenvalues within the
+        reduction's rounding error count as zero unless the agent's own
+        anchor links are regular; each block then keeps only its
+        eigenvalues above that and above the rule's threshold on its own
+        trace. So every block is PSD information and nothing raises.
+        """
+        total = self.total.array
+        try:
+            blocks = _halving_reduce(total)
+        except np.linalg.LinAlgError:
+            blocks, error = _pinv_reduce(total)
+            blocks[_unanchored(self)] = 0.0
+            # an agent's own anchor links bound its information from below,
+            # so where they alone are regular no direction is left to rounding
+            n, k = self.n_agents, np.arange(self.n_agents)
+            own_regular = np.isfinite(speb_blocks(self.j_a.reshape(n, 2, n, 2)[k, :, k, :]))
+            blocks = _drop_singular(blocks, np.where(own_regular, 0.0, total.shape[0] * error))
+        blocks.flags.writeable = False
+        return blocks
+
     @property
     def n_agents(self) -> int:
         return len(self.agent_ids)
@@ -237,6 +277,113 @@ class NetworkEfim:
         if k == m:
             raise ValueError("cooperation blocks couple distinct agents")
         return -self.j_c[2 * k : 2 * k + 2, 2 * m : 2 * m + 2]
+
+
+def _halving_reduce(total: np.ndarray) -> np.ndarray:
+    """Every agent's Schur complement of ``total`` by recursive halving.
+
+    Agents are padded to a power of two with decoupled identity blocks.
+    Each level splits every group of agents in two and reduces the group
+    onto each half, A - B C^-1 B^T and C - B^T A^-1 B, with one batched
+    solve for all groups; a level halves the group size until single
+    blocks remain. Being Schur complements, the blocks reproduce the
+    two-agent closed form to the last digit, where reading the blocks of
+    one inverse of ``total`` does not. Raises ``LinAlgError`` when a block
+    to be eliminated is singular, or when ``total`` may be singular, or a
+    returned block is, by ``infogeo.is_singular``.
+    """
+    n = total.shape[0] // 2
+    size = 1 << (n - 1).bit_length()
+    m = np.zeros((1, 2 * size, 2 * size))
+    m[0, : 2 * n, : 2 * n] = total
+    pad = np.arange(2 * n, 2 * size)
+    m[0, pad, pad] = 1.0
+    # a nearly singular block can overflow; the checks below catch it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m.shape[1] > 2:
+            groups, h = m.shape[0], m.shape[1] // 2
+            a, b, c = m[:, :h, :h], m[:, :h, h:], m[:, h:, h:]
+            bt = b.transpose(0, 2, 1)
+            x = np.linalg.solve(np.concatenate([c, a]), np.concatenate([bt, b]))
+            halves = np.stack([a - b @ x[:groups], c - bt @ x[groups:]], axis=1)
+            m = halves.reshape(2 * groups, h, h)
+            m = 0.5 * (m + m.transpose(0, 2, 1))
+        blocks = m[:n]
+        # Block k is the inverse of the (k, k) block of total^-1, so the
+        # blocks' SPEBs sum to trace(total^-1) >= 1 / lambda_min(total), and
+        # the largest absolute row sum bounds lambda_max(total): unless these
+        # keep total clear of the singularity rule, a nearly singular
+        # elimination may have turned rounding into information.
+        spebs = speb_blocks(blocks)
+        norm = np.abs(total).sum(axis=1).max()
+        if not np.all(np.isfinite(spebs)) or is_singular(norm, 1.0 / spebs.sum()):
+            raise np.linalg.LinAlgError("total information is singular")
+    return blocks
+
+
+def _pinv_reduce(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's Schur complement of ``total``, one agent at a time with
+    a pseudo-inverse of the eliminated part, and each block's rounding
+    error to first order.
+
+    The pseudo-inverse is ``scipy.linalg.pinvh``'s: it drops the
+    eigenvalues of C at most its size times eps times the largest. A
+    relative perturbation eps of C moves B C^+ B^T by up to
+    eps |C| |C^+ B^T|^2, so a block's error is about
+    eps (|A| + |B C^+ B^T| + |C| |C^+ B^T|^2): near the rounding level
+    where C is well conditioned on B's directions, large where the other
+    agents only pin agent k through nearly free motions.
+    """
+    eps = np.finfo(float).eps
+    n = total.shape[0] // 2
+    blocks, error = np.empty((n, 2, 2)), np.empty(n)
+    for k in range(n):
+        keep = np.array([2 * k, 2 * k + 1])
+        drop = np.delete(np.arange(2 * n), keep)
+        a, b, c = total[np.ix_(keep, keep)], total[np.ix_(keep, drop)], total[np.ix_(drop, drop)]
+        w, v = np.linalg.eigh(c)
+        size = np.abs(w).max(initial=0.0)
+        kept = np.abs(w) > w.size * eps * size
+        g = (v[:, kept] / w[kept]) @ (v[:, kept].T @ b.T)  # C^+ B^T
+        bg = b @ g
+        blocks[k] = a - bg
+        error[k] = eps * (np.abs(a).sum() + np.abs(bg).sum() + size * np.sum(g * g))
+    return blocks, error
+
+
+def _unanchored(net: NetworkEfim) -> np.ndarray:
+    """Mask of the agents whose cooperation component holds no anchor or
+    prior information.
+
+    Such a component moves as a whole without changing any measurement, so
+    each of its agents' equivalent information is exactly zero; a
+    floating-point reduction returns it only up to rounding.
+    """
+    n = net.n_agents
+    coupled = net.total.array.reshape(n, 2, n, 2).any(axis=(1, 3))
+    anchored = (net.j_a + net.xi_p).reshape(n, 2 * n * 2).any(axis=1)
+    _, labels = connected_components(coupled, directed=False)
+    return ~np.isin(labels, labels[anchored])
+
+
+def _drop_singular(blocks: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Symmetric 2x2 blocks with every eigenvalue that ``is_singular`` (on
+    the block's own trace) calls zero, or that is at most ``floor`` (one
+    rounding level per block), set to zero; other blocks are returned as
+    given."""
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    trace = blocks[:, 0, 0] + blocks[:, 1, 1]
+
+    def zero(trace, floor, eig):
+        return is_singular(trace, eig) | (eig <= floor)
+
+    singular = zero(trace, floor, min_eig_blocks(blocks))
+    if np.any(singular):
+        eig, vec = np.linalg.eigh(blocks[singular])
+        eig = np.where(zero(trace[singular, None], floor[singular, None], eig), 0.0, eig)
+        kept = (vec * eig[:, None, :]) @ vec.transpose(0, 2, 1)
+        blocks[singular] = 0.5 * (kept + kept.transpose(0, 2, 1))
+    return blocks
 
 
 def _link_terms(topo: Topology, agent_index: Mapping[str, int]):
@@ -329,14 +476,23 @@ def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> Ne
 def agent_efim(net: NetworkEfim, agent_id: str, use_pinv: bool = False) -> InfoMatrix2:
     """Reduce the network information onto one agent's 2x2 block.
 
-    Raises ``SingularComplementError`` when the eliminated agents carry
-    singular information (they would be unlocalizable); the returned block
-    itself may still be singular, which ``speb`` reports as unlocalizable.
+    By default this is a strict Schur reduction: it raises
+    ``SingularComplementError`` when the eliminated agents carry singular
+    information (they would be unlocalizable); the returned block itself
+    may still be singular, which ``speb`` reports as unlocalizable.
+
+    With ``use_pinv=True`` it never raises and returns the agent's block of
+    ``net.agent_info``, computed once for all agents: a singular total
+    falls back to per-agent pseudo-inverse reductions, and eigenvalues the
+    singularity rule calls zero, or within the reduction's rounding error,
+    are set to zero.
     """
     k = net.index(agent_id)
+    if use_pinv:
+        return InfoMatrix2.from_array(net.agent_info[k])
     if net.n_agents == 1:
         return net.total.diagonal_block(0)
-    reduced = schur_reduce(net.total, keep=[k], use_pinv=use_pinv)
+    reduced = schur_reduce(net.total, keep=[k])
     return reduced.diagonal_block(0)
 
 

@@ -151,6 +151,39 @@ class TestBoundsCommand:
         for agent in payload["agents"]:
             assert agent["speb_lower_m2"] <= agent["speb_m2"] <= agent["speb_upper_m2"]
 
+    def test_weak_direction_beside_a_strong_link(self, tmp_path, capsys):
+        """u1's y information is 1e-4 next to a 1e6 link along y to u2, whose
+        only anchor is along x: both keep SPEB 10001 m^2 (not inf), inside
+        the closed-form bounds."""
+        doc = {
+            "version": 1,
+            "network": {
+                "nodes": [
+                    {"id": "u1", "kind": "agent", "position": [0.0, 0.0]},
+                    {"id": "u2", "kind": "agent", "position": [0.0, 1.0]},
+                    {"id": "X", "kind": "anchor", "position": [5.0, 0.0]},
+                    {"id": "Y", "kind": "anchor", "position": [0.0, -5.0]},
+                    {"id": "X2", "kind": "anchor", "position": [5.0, 1.0]},
+                ],
+                "links": [
+                    {"from": "u1", "to": "X", "rii": 1.0},
+                    {"from": "u1", "to": "Y", "rii": 1e-4},
+                    {"from": "u1", "to": "u2", "rii": 1e6},
+                    {"from": "u2", "to": "X2", "rii": 1.0},
+                ],
+            },
+        }
+        code = main(["bounds", write_config(tmp_path, doc), "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        # the reduction cancels 1e6 against 1e-4: rounding of 1e6 eps / 1e-4
+        rel = 1e-5
+        for agent in payload["agents"]:
+            assert agent["localizable"]
+            assert agent["speb_m2"] == pytest.approx(10001.0, rel=rel)
+            lower, upper = agent["speb_lower_m2"], agent["speb_upper_m2"]
+            assert lower * (1 - rel) <= agent["speb_m2"] <= upper * (1 + rel)
+
 
 class TestExperimentCommand:
     def test_fig7_files_and_first_row(self, tmp_path, capsys):
@@ -235,6 +268,16 @@ class TestExperimentCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.glob("extended_scaling_*"))
+
+    @pytest.mark.parametrize("kind", ["fig6", "fig7", "fig8", "dense_scaling"])
+    def test_empty_layouts_exit_one(self, tmp_path, kind, capsys):
+        doc = {"version": 1, "experiment": {"kind": kind, "trials": 2, "layouts": []}}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["experiment", kind, "--config", config, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         target = tmp_path / "file"

@@ -24,7 +24,8 @@ from locbounds.experiments import (
     _noncoop_spebs,
     _per_agent_spebs,
 )
-from locbounds.network import Node, Topology, build_efim
+from locbounds.infogeo import speb
+from locbounds.network import Node, Topology, agent_efim, build_efim
 from locbounds.ranging import RangingLink
 
 
@@ -218,6 +219,47 @@ class TestRunners:
         assert math.isclose(spebs[0], 1.5, rel_tol=1e-12)
         assert math.isinf(spebs[1])
 
+    def test_rank_starved_agent_inf_on_study_and_cli_paths(self):
+        """a1's one link, to a0, leaves it rank-one information along the
+        link: unlocalizable on both paths at a bearing off the axes, while
+        a0 keeps the bound of its three anchors."""
+        bearing = 0.3
+        nodes = (
+            Node("a0", "agent", np.zeros(2)),
+            Node("a1", "agent", 2.0 * np.array([math.cos(bearing), math.sin(bearing)])),
+            Node("b0", "anchor", np.array([4.0, 1.0])),
+            Node("b1", "anchor", np.array([-2.0, 3.0])),
+            Node("b2", "anchor", np.array([-1.0, -4.0])),
+        )
+        links = tuple(RangingLink("a0", b, 1.0) for b in ("b0", "b1", "b2")) + (
+            RangingLink("a0", "a1", 1.0),
+        )
+        net = build_efim(Topology(nodes, links, reciprocal=True))
+        study = _per_agent_spebs(net)
+        cli = [speb(agent_efim(net, agent_id, use_pinv=True)) for agent_id in net.agent_ids]
+        for values in (study, cli):
+            assert math.isclose(values[0], 1.3556651431320663, rel_tol=1e-12)
+            assert math.isinf(values[1])
+
+    def test_cooperative_extended_cutoff_draws_run(self):
+        """Under rmax some draws hold anchor-free clusters of agents; the
+        study reports them as outage instead of failing."""
+        spec = default_spec(
+            "extended_scaling",
+            seed=3,
+            trials=5,
+            cooperative=True,
+            rho_b=0.01,
+            rho_a=0.02,
+            r0=1.0,
+            rmax=6.0,
+            n_sweep=(4, 8, 12, 16),
+        )
+        rows = run_experiment(spec).rows
+        assert len(rows) == 4
+        assert any(r["outage"] > 0.0 for r in rows)
+        assert all(math.isfinite(r["mean_speb_m2"]) for r in rows)
+
     def test_fig6_fig7_random_layout(self):
         """The random anchor layout draws spec.nb anchors in fig6 and fig7
         as it does in fig8 and dense scaling."""
@@ -328,6 +370,19 @@ class TestOutputs:
         payload = json.loads(open(json_path).read())
         assert payload["seed"] == 4
         assert payload["empirical"] <= payload["bound"]
+
+    def test_summary_json_holds_null_not_nan_or_infinity(self, tmp_path):
+        """With one anchor every draw is unlocalizable: the mean bound is inf
+        and mean x log 1 is NaN, which the summary file writes as null."""
+        spec = default_spec("extended_scaling", seed=2, trials=3, n_sweep=(1, 64))
+        _, json_path = run_experiment(spec).write(str(tmp_path))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(open(json_path).read(), parse_constant=reject)
+        assert payload["mean_times_log_n"][0] is None
+        assert payload["mean_times_log_n_spread"] is None
 
     def test_run_experiment_dispatch_all_kinds(self, tmp_path):
         for kind, params in (

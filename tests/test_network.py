@@ -7,6 +7,7 @@ import pytest
 
 from locbounds.infogeo import (
     UNLOCALIZABLE,
+    InfoMatrix2,
     SingularComplementError,
     rdm,
     speb,
@@ -298,6 +299,64 @@ class TestAgentEfim:
             bigger = build_efim(Topology(topo.nodes, topo.links + (extra,)))
             after = [speb(agent_efim(bigger, a)) for a in bigger.agent_ids]
             assert all(b <= a + 1e-9 * a for a, b in zip(before, after))
+
+
+class TestAgentInfo:
+    def test_matches_strict_reduction(self):
+        rng = np.random.default_rng(5)
+        for n_agents in (1, 2, 3, 5, 8, 13):
+            net = build_efim(random_topology(rng, n_agents=n_agents, with_priors=True))
+            for k, agent_id in enumerate(net.agent_ids):
+                np.testing.assert_allclose(
+                    net.agent_info[k], agent_efim(net, agent_id).as_array(), rtol=1e-10
+                )
+
+    def test_anchor_free_triangle_beside_anchored_agent(self):
+        nodes = (
+            _agent("a0", 0.0, 0.0),
+            _agent("t1", 5.0, 5.0),
+            _agent("t2", 8.0, 5.0),
+            _agent("t3", 6.0, 8.0),
+            _anchor("b0", -3.0, 0.0),
+            _anchor("b1", 0.0, -3.0),
+        )
+        links = (
+            RangingLink("a0", "b0", 1.0),
+            RangingLink("a0", "b1", 1.0),
+            RangingLink("t1", "t2", 1.0),
+            RangingLink("t2", "t3", 2.0),
+            RangingLink("t3", "t1", 0.5),
+        )
+        net = build_efim(Topology(nodes, links, reciprocal=True))
+        spebs = [speb(agent_efim(net, agent_id, use_pinv=True)) for agent_id in net.agent_ids]
+        assert spebs[0] == pytest.approx(2.0, rel=1e-12)
+        assert all(value is UNLOCALIZABLE for value in spebs[1:])
+
+    def test_weak_direction_beside_a_strong_link_stays_localizable(self):
+        """a0 has unit anchor information along x and 1e-4 along y, plus a
+        1e6 link along y to a1, whose only anchor information is along x:
+        both reduce to diag(1, 1e-4), far above rounding (~1e6 eps) though
+        below 1e-9 of the strong link."""
+        nodes = (
+            _agent("a0", 0.0, 0.0),
+            _agent("a1", 0.0, 1.0),
+            _anchor("bx", 5.0, 0.0),
+            _anchor("by", 0.0, -5.0),
+            _anchor("bx1", 5.0, 1.0),
+        )
+        links = (
+            RangingLink("a0", "bx", 1.0),
+            RangingLink("a0", "by", 1e-4),
+            RangingLink("a0", "a1", 1e6),
+            RangingLink("a1", "bx1", 1.0),
+        )
+        net = build_efim(Topology(nodes, links, reciprocal=True))
+        anchors_only = net.j_a + net.xi_p
+        for k, agent_id in enumerate(net.agent_ids):
+            coop = speb(agent_efim(net, agent_id, use_pinv=True))
+            assert coop == pytest.approx(10001.0, rel=1e-5)
+            own = InfoMatrix2.from_array(anchors_only[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
+            assert coop <= speb(own)
 
 
 class TestJoinLeave:
