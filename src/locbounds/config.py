@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Optional
 
@@ -57,9 +58,22 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+@cache
+def _output_validator(schema_name: str):
+    """One validator per published schema, built (and the schema itself
+    checked) on first use."""
+    schema = load_schema(schema_name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_output(document: dict, schema_name: str) -> None:
-    """Validate a produced JSON document against its published schema."""
-    jsonschema.validate(document, load_schema(schema_name))
+    """Validate a produced JSON document against its published schema;
+    raises the error ``jsonschema.validate`` would."""
+    error = jsonschema.exceptions.best_match(_output_validator(schema_name).iter_errors(document))
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,29 @@ makes sweep comparisons common-random-number smooth. Trials are independent
 and may run in parallel; aggregation indexes results by trial and sums with
 ``math.fsum``, so the output is order-independent.
 
-``gen_dense`` draws each node from its own substream as above, then
-computes every link distance and intensity as one array. Repeat runs are
-byte-identical. Against releases that computed the intensities one link at
-a time, positions are bit-identical and an intensity may differ by up to
-2 ulp: the squared distance is now rounded once (d * d) rather than by the
-platform's ``pow``.
+A node's position takes its substream's first two doubles, so the draws
+compute every node's position from one vectorized evaluation of the
+substreams' first Philox4x64-10 blocks (``_philox_first_block``, Salmon et
+al., SC'11): the same keys and the same bits as one ``substream`` generator
+per node. Link distances and intensities are arrays too; the extended
+draw's intensities come from ``rii_pathloss``, one call per link inside
+the annulus. Repeat runs are byte-identical. Against releases that
+computed the dense intensities one link at a time, positions are
+bit-identical and an intensity may differ by up to 2 ulp: the squared
+distance is now rounded once (d * d) rather than by the platform's
+``pow``.
 
 The Monte Carlo studies (fig6, fig7, fig8, dense and extended scaling)
-run one loop: at every sweep point and trial it draws a network
-(``gen_dense`` or ``gen_extended``), assembles its EFIM (``build_efim``)
-and takes the per-agent measures the kind needs (exact cooperative or
-anchors-only SPEB, or the closed-form bounds of ``efim_bounds_all``); each
-measure is aggregated into one output row per sweep point, and the
-summary, fits included, is computed from those aggregates. ``_COLUMNS``
-lists the output columns of every kind.
+run one loop: at every sweep point and trial it draws a network as arrays
+(``_dense_draw`` or ``_extended_draw``, which ``gen_dense`` and
+``gen_extended`` turn into a ``Topology``), assembles its EFIM with
+``network.assemble_links``, the routine behind ``build_efim``, and takes
+the per-agent measures the kind needs (exact cooperative or anchors-only
+SPEB, or the closed-form bounds of ``efim_bounds_all``); each measure is
+aggregated into one output row per sweep point, and the summary, fits
+included, is computed from those aggregates. No ``Node``, ``RangingLink``
+or ``Topology`` is built on that path; the draws check the values their
+constructors would. ``_COLUMNS`` lists the output columns of every kind.
 
 Per-agent exact bounds are the SPEBs of ``NetworkEfim.agent_info``: every
 agent's equivalent information from one recursive-halving Schur reduction,
@@ -73,7 +81,9 @@ from scipy.stats import linregress
 
 from .bounds import effective_rii, efim_bounds_all
 from .infogeo import EllipseForm, speb, speb_blocks
-from .network import NetworkEfim, Node, Topology, build_efim
+from .network import NetworkEfim, Node, Topology, assemble_links
+# unused here; perfbench/layertrace.py traces this name as the assembly layer
+from .network import build_efim  # noqa: F401
 from .ranging import RangingLink, rii_pathloss
 
 __all__ = [
@@ -116,6 +126,15 @@ _ROLE_COUNT = 4
 _ROLE_DRAW = 5
 
 
+def _stream_keys(trial: int, role: int, index) -> np.ndarray:
+    """key[1] of the substreams (trial, role, index), for an integer or an
+    array of integers ``index``."""
+    index = np.asarray(index)
+    if role <= 0 or role >= 16 or np.any(index < 0) or np.any(index >= 1 << 28):
+        raise ValueError("role in [1, 15] and index below 2^28 required")
+    return np.uint64(((trial % (1 << 32)) << 32) + (role << 28)) + index.astype(np.uint64)
+
+
 def substream(seed: int, trial: int, role: int, index: int = 0) -> np.random.Generator:
     """Philox substream keyed by (seed, trial, role, index).
 
@@ -123,13 +142,56 @@ def substream(seed: int, trial: int, role: int, index: int = 0) -> np.random.Gen
     (trial, role, index) triples never collide for trial < 2^32, role < 16,
     index < 2^28.
     """
-    if role <= 0 or role >= 16 or index < 0 or index >= 1 << 28:
-        raise ValueError("role in [1, 15] and index below 2^28 required")
-    key = np.array(
-        [seed % (1 << 64), ((trial % (1 << 32)) << 32) + (role << 28) + index],
-        dtype=np.uint64,
-    )
+    key = np.array([seed % (1 << 64), _stream_keys(trial, role, index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11) as ``np.random.Philox`` runs it: round multipliers and key bumps.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(const: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64 bits of the 128-bit products const * x, from 32-bit
+    limbs (every partial sum fits in 64 bits)."""
+    c_lo, c_hi = np.uint64(const & 0xFFFFFFFF), np.uint64(const >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo = c_lo * x_lo
+    mid = c_hi * x_lo + (lo_lo >> _SHIFT32)
+    mid2 = (mid & _LOW32) + c_lo * x_hi
+    hi = c_hi * x_hi + (mid >> _SHIFT32) + (mid2 >> _SHIFT32)
+    return hi, (mid2 << _SHIFT32) | (lo_lo & _LOW32)
+
+
+def _philox_first_block(seed: int, keys: np.ndarray) -> np.ndarray:
+    """The first output block, shape (4, n), of ``np.random.Philox`` keyed
+    by (seed, keys[i]) for every i at once: Philox4x64-10 at counter
+    (1, 0, 0, 0), the counter a fresh generator draws its first four words
+    from."""
+    x0 = np.ones(keys.shape, np.uint64)
+    x1, x2, x3 = np.zeros((3, *keys.shape), np.uint64)
+    k0, k1 = seed % (1 << 64), keys.astype(np.uint64)
+    for r in range(10):
+        if r:  # key schedule: k0 in Python integers, k1 wrapping in uint64
+            k0, k1 = (k0 + _PHILOX_W[0]) % (1 << 64), k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack([x0, x1, x2, x3])
+
+
+def _first_doubles(seed: int, trial: int, streams: Sequence[tuple[int, int]]) -> np.ndarray:
+    """``substream(seed, trial, role, i).random(2)`` for every (role, count)
+    in ``streams`` and i below count, in that order, as rows of one array:
+    one vectorized Philox pass, bit for bit the generators' draws."""
+    keys = np.concatenate(
+        [_stream_keys(trial, role, np.arange(count)) for role, count in streams]
+    )
+    words = _philox_first_block(seed, keys)[:2].T
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -169,9 +231,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for name in ("side", "d_anchor", "k_const", "rho_b", "r0"):
+        for name in ("side", "d_anchor", "k_const", "rho_b", "r0", "path_exponent"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.rmax is not None and self.rmax <= 0.0:
+            raise ValueError("rmax must be positive")
         for name in ("rho_a", "fading_sigma_db"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -217,10 +281,60 @@ def _anchor_positions(layout: str, d: float) -> list[tuple[float, float]]:
     raise ValueError(f"layout {layout!r} has no fixed positions")
 
 
-def _fading_draws(spec_sigma_db: float, rng: np.random.Generator, count: int) -> np.ndarray:
+def _fading_draws(spec_sigma_db: float, seed: int, trial: int, count: int) -> np.ndarray:
     if spec_sigma_db <= 0.0:
         return np.ones(count)
+    rng = substream(seed, trial, _ROLE_FADING)
     return 10.0 ** (spec_sigma_db * rng.standard_normal(count) / 10.0)
+
+
+class _Draw(NamedTuple):
+    """One network draw as arrays. Nodes are the agents a0, a1, ... then the
+    anchors b0, b1, ...; every agent i receives one link from every other
+    node j, in (i, j) order, of intensity ``rii``."""
+
+    positions: np.ndarray  # (nodes, 2)
+    n_agents: int
+    src: np.ndarray  # receiver node index per link
+    dst: np.ndarray  # transmitter node index per link
+    rii: np.ndarray
+
+    @classmethod
+    def full_mesh(cls, positions: np.ndarray, n_agents: int, rii_of) -> "_Draw":
+        """The draw of agents at ``positions[:n_agents]`` and anchors after
+        them, with intensities ``rii_of(distances)``; checks the values
+        ``Node`` and ``RangingLink`` would."""
+        if not np.all(np.isfinite(positions)):
+            raise ValueError("position must be a finite 2-vector")
+        src, dst = np.nonzero(~np.eye(n_agents, len(positions), dtype=bool))
+        diff = positions[src] - positions[dst]
+        rii = np.asarray(rii_of(np.hypot(diff[:, 0], diff[:, 1])), dtype=float)
+        if not np.all(np.isfinite(rii) & (rii >= 0.0)):
+            raise ValueError("rii must be finite and nonnegative")
+        return cls(positions, n_agents, src, dst, rii)
+
+    def topology(self) -> Topology:
+        ids = [f"a{i}" for i in range(self.n_agents)]
+        ids += [f"b{i}" for i in range(len(self.positions) - self.n_agents)]
+        nodes = tuple(
+            Node(node_id, "agent" if k < self.n_agents else "anchor", p)
+            for k, (node_id, p) in enumerate(zip(ids, self.positions))
+        )
+        links = tuple(
+            RangingLink(from_id=ids[i], to_id=ids[j], rii=rii)
+            for i, j, rii in zip(self.src.tolist(), self.dst.tolist(), self.rii.tolist())
+        )
+        return Topology(nodes=nodes, links=links)
+
+    def efim(self) -> NetworkEfim:
+        """The draw's network information; equals ``build_efim(self.topology())``."""
+        if self.n_agents == 0:
+            raise ValueError("topology has no agents")
+        n_nodes = len(self.positions)
+        agent_of = np.where(np.arange(n_nodes) < self.n_agents, np.arange(n_nodes), -1)
+        j_a, j_c = assemble_links(agent_of, self.positions, self.src, self.dst, self.rii)
+        ids = tuple(f"a{i}" for i in range(self.n_agents))
+        return NetworkEfim(agent_ids=ids, j_a=j_a, j_c=j_c, xi_p=np.zeros_like(j_a))
 
 
 def gen_dense(
@@ -243,42 +357,53 @@ def gen_dense(
     Identical (seed, trial) reproduce the topology exactly, and agent i's
     position does not depend on ``na``.
     """
+    return _dense_draw(
+        seed,
+        na,
+        nb=nb,
+        side=side,
+        anchor_layout=anchor_layout,
+        d=d,
+        k_const=k_const,
+        fading_sigma_db=fading_sigma_db,
+        trial=trial,
+    ).topology()
+
+
+def _dense_draw(
+    seed: int,
+    na: int,
+    *,
+    nb: Optional[int],
+    side: float,
+    anchor_layout: str,
+    d: float,
+    k_const: float,
+    fading_sigma_db: float,
+    trial: int,
+) -> _Draw:
+    """``gen_dense``'s draw as arrays."""
     if na < 0 or (nb is not None and nb < 0):
         raise ValueError("node counts must be nonnegative")
     half = side / 2.0
-    anchors: list[Node] = []
     if anchor_layout == "random":
         if nb is None:
             raise ValueError("random anchor layout requires nb")
-        for i in range(nb):
-            rng = substream(seed, trial, _ROLE_ANCHOR, i)
-            x, y = rng.uniform(-half, half, size=2)
-            anchors.append(Node(f"b{i}", "anchor", np.array([x, y])))
+        streams = ((_ROLE_AGENT, na), (_ROLE_ANCHOR, nb))
+        fixed = np.empty((0, 2))
     else:
-        for i, (x, y) in enumerate(_anchor_positions(anchor_layout, d)):
-            anchors.append(Node(f"b{i}", "anchor", np.array([x, y])))
+        streams = ((_ROLE_AGENT, na),)
+        fixed = np.array(_anchor_positions(anchor_layout, d), dtype=float)
+    # Generator.uniform(low, high) is low + (high - low) * random()
+    drawn = -half + (half - -half) * _first_doubles(seed, trial, streams)
+    positions = np.concatenate([drawn, fixed])
 
-    agents: list[Node] = []
-    for i in range(na):
-        rng = substream(seed, trial, _ROLE_AGENT, i)
-        x, y = rng.uniform(-half, half, size=2)
-        agents.append(Node(f"a{i}", "agent", np.array([x, y])))
+    def rii_of(dist: np.ndarray) -> np.ndarray:
+        fading = _fading_draws(fading_sigma_db, seed, trial, dist.size)
+        with np.errstate(divide="ignore", over="ignore"):
+            return k_const * fading / dist**2
 
-    nodes = tuple(agents + anchors)
-    # one link per (agent i, other node j): agents in index order, then nodes
-    # in node order (agents come first); the fading draws follow that order
-    pos = np.array([n.position for n in nodes]).reshape(-1, 2)
-    rows, cols = np.nonzero(~np.eye(na, len(nodes), dtype=bool))
-    diff = pos[rows] - pos[cols]
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    fading = _fading_draws(fading_sigma_db, substream(seed, trial, _ROLE_FADING), dist.size)
-    lam = (k_const * fading / dist**2).tolist()
-    ids = [n.node_id for n in nodes]
-    links = tuple(
-        RangingLink(from_id=ids[i], to_id=ids[j], rii=rii)
-        for i, j, rii in zip(rows.tolist(), cols.tolist(), lam)
-    )
-    return Topology(nodes=nodes, links=links)
+    return _Draw.full_mesh(positions, na, rii_of)
 
 
 def gen_extended(
@@ -302,6 +427,36 @@ def gen_extended(
     round(rho * pi * R^2) or Poisson with that mean. Link intensities follow
     the truncated path-loss model z / r^(2b) for r >= r0.
     """
+    return _extended_draw(
+        seed,
+        rho_b=rho_b,
+        rho_a=rho_a,
+        radius=radius,
+        r0=r0,
+        rmax=rmax,
+        b=b,
+        k_const=k_const,
+        poisson_counts=poisson_counts,
+        fading_sigma_db=fading_sigma_db,
+        trial=trial,
+    ).topology()
+
+
+def _extended_draw(
+    seed: int,
+    *,
+    rho_b: float,
+    rho_a: float,
+    radius: float,
+    r0: float,
+    rmax: Optional[float],
+    b: float,
+    k_const: float,
+    poisson_counts: bool,
+    fading_sigma_db: float,
+    trial: int,
+) -> _Draw:
+    """``gen_extended``'s draw as arrays."""
     if radius <= r0:
         raise ValueError("radius must exceed the minimum node separation r0")
     area = math.pi * radius**2
@@ -313,40 +468,26 @@ def gen_extended(
         nb = int(round(rho_b * area))
         na_extra = int(round(rho_a * area)) if rho_a > 0.0 else 0
 
-    def _disk_point(rng: np.random.Generator) -> np.ndarray:
-        u, v = rng.random(2)
-        r = radius * math.sqrt(u)
-        ang = 2.0 * math.pi * v
-        return np.array([r * math.cos(ang), r * math.sin(ang)])
+    # a uniform point in the disk from each node's first two draws (u, v)
+    u, v = _first_doubles(seed, trial, ((_ROLE_AGENT, na_extra), (_ROLE_ANCHOR, nb))).T
+    r = radius * np.sqrt(u)
+    ang = 2.0 * math.pi * v
+    positions = np.concatenate([np.zeros((1, 2)), np.stack([r * np.cos(ang), r * np.sin(ang)], 1)])
 
-    anchors = [
-        Node(f"b{i}", "anchor", _disk_point(substream(seed, trial, _ROLE_ANCHOR, i)))
-        for i in range(nb)
-    ]
-    agents = [Node("a0", "agent", np.array([0.0, 0.0]))]
-    agents += [
-        Node(f"a{i + 1}", "agent", _disk_point(substream(seed, trial, _ROLE_AGENT, i)))
-        for i in range(na_extra)
-    ]
+    def rii_of(dist: np.ndarray) -> np.ndarray:
+        z = (k_const * _fading_draws(fading_sigma_db, seed, trial, dist.size)).tolist()
+        inside = (dist > 0.0) & (dist >= r0)
+        if rmax is not None:
+            inside &= dist <= rmax
+        links = np.flatnonzero(inside)
+        rii = np.zeros(dist.size)
+        rii[links] = [
+            rii_pathloss(d, b, z=z[i], r0=r0, rmax=rmax)
+            for i, d in zip(links.tolist(), dist[links].tolist())
+        ]
+        return rii
 
-    nodes = tuple(agents + anchors)
-    links: list[RangingLink] = []
-    n_links = len(agents) * (len(nodes) - 1)
-    fading = _fading_draws(fading_sigma_db, substream(seed, trial, _ROLE_FADING), n_links)
-    li = 0
-    for a in agents:
-        for other in nodes:
-            if other.node_id == a.node_id:
-                continue
-            dist = float(np.hypot(*(a.position - other.position)))
-            lam = (
-                rii_pathloss(dist, b, z=k_const * fading[li], r0=r0, rmax=rmax)
-                if dist > 0.0
-                else 0.0
-            )
-            links.append(RangingLink(from_id=a.node_id, to_id=other.node_id, rii=lam))
-            li += 1
-    return Topology(nodes=nodes, links=tuple(links))
+    return _Draw.full_mesh(positions, 1 + na_extra, rii_of)
 
 
 def _per_agent_spebs(net: NetworkEfim) -> np.ndarray:
@@ -571,9 +712,10 @@ def _run_study(spec: ExperimentSpec, kind: str) -> ExperimentResult:
 
 
 def _draw(spec: ExperimentSpec, kind: str, point: dict, trial: int) -> NetworkEfim:
-    """The network of one trial at one sweep point."""
+    """The network of one trial at one sweep point, drawn and assembled as
+    arrays (``gen_dense``/``gen_extended`` build the same draw as objects)."""
     if kind == "extended_scaling":
-        topo = gen_extended(
+        draw = _extended_draw(
             spec.seed,
             rho_b=spec.rho_b,
             rho_a=spec.rho_a if spec.cooperative else 0.0,
@@ -588,7 +730,7 @@ def _draw(spec: ExperimentSpec, kind: str, point: dict, trial: int) -> NetworkEf
         )
     else:
         layout = point["layout"]
-        topo = gen_dense(
+        draw = _dense_draw(
             spec.seed,
             point["na"],
             nb=spec.nb if layout == "random" else None,
@@ -599,7 +741,7 @@ def _draw(spec: ExperimentSpec, kind: str, point: dict, trial: int) -> NetworkEf
             fading_sigma_db=spec.fading_sigma_db,
             trial=trial,
         )
-    return build_efim(topo)
+    return draw.efim()
 
 
 def _draw_measures(net: NetworkEfim, names: set[str]) -> dict[str, np.ndarray]:

@@ -28,8 +28,10 @@ an anchor once reduced out.
 
 ``build_efim`` turns a topology's links into index, intensity and bearing
 arrays once (bearings from the evaluation positions unless a link
-overrides them) and scatters the rank-one contributions into the blocks
-with ``np.add.at``; no per-link 2x2 objects are built.
+overrides them); ``assemble_links`` scatters the rank-one contributions of
+such arrays into the blocks with ``np.add.at``, and no per-link 2x2
+objects are built. The Monte Carlo studies draw their networks as arrays
+and call ``assemble_links`` directly.
 
 ``Topology`` and ``NetworkEfim`` are immutable snapshots; updates return new
 values, so concurrent readers are safe.
@@ -386,10 +388,11 @@ def _drop_singular(blocks: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _link_terms(topo: Topology, agent_index: Mapping[str, int]):
-    """All links as arrays: receiver agent index ``k``, transmitter agent
-    index ``m`` (-1 for anchors) and contribution ``rii * R(phi)``, shape
-    (L, 2, 2), with phi from the evaluation positions unless overridden."""
+def _link_arrays(topo: Topology, agent_index: Mapping[str, int]):
+    """A topology's links as arrays: each node's evaluation position and
+    agent index (-1 for anchors), and per link the receiver and transmitter
+    node index, the intensity and the bearing override (NaN where the
+    bearing comes from the positions)."""
     links = topo.links
     count = len(links)
     slot = {node.node_id: i for i, node in enumerate(topo.nodes)}
@@ -398,24 +401,68 @@ def _link_terms(topo: Topology, agent_index: Mapping[str, int]):
     dst = np.fromiter((slot[l.to_id] for l in links), dtype=np.intp, count=count)
     rii = np.fromiter((l.rii for l in links), dtype=float, count=count)
     # overrides are finite (RangingLink checks), so NaN marks "from positions"
-    override = np.fromiter(
+    phi = np.fromiter(
         (math.nan if l.phi is None else l.phi for l in links), dtype=float, count=count
     )
-    d = pos[src] - pos[dst]
-    phi = np.where(np.isnan(override), np.arctan2(d[:, 1], d[:, 0]), override)
-    c, s = np.cos(phi), np.sin(phi)
-    terms = np.empty((count, 2, 2))
-    terms[:, 0, 0] = rii * (c * c)
-    terms[:, 0, 1] = terms[:, 1, 0] = rii * (c * s)
-    terms[:, 1, 1] = rii * (s * s)
     agent_of = np.array([agent_index.get(node.node_id, -1) for node in topo.nodes])
-    return agent_of[src], agent_of[dst], terms
+    return agent_of, pos, src, dst, rii, phi
 
 
 def _blocks(mat: np.ndarray) -> np.ndarray:
     """(n, n, 2, 2) view of a (2n, 2n) matrix; writes go through to ``mat``."""
     n = mat.shape[0] // 2
     return mat.reshape(n, 2, n, 2).swapaxes(1, 2)
+
+
+def assemble_links(
+    agent_of: np.ndarray,
+    pos: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    rii: np.ndarray,
+    phi: Optional[np.ndarray] = None,
+    reciprocal: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor and cooperation information ``(j_a, j_c)`` of links given as
+    arrays.
+
+    ``agent_of`` holds each node's agent index (-1 for anchors) and ``pos``
+    its evaluation position; link i is received at node ``src[i]`` from
+    node ``dst[i]`` with intensity ``rii[i]``, at the bearing ``phi[i]``
+    where given and not NaN, else at the bearing between the positions.
+    Each link contributes rii * R(phi), scattered into the blocks with
+    ``np.add.at`` in link order; ``reciprocal`` is ``Topology``'s.
+    """
+    k, m = agent_of[src], agent_of[dst]
+    if np.any(k < 0):
+        raise ValueError("link receivers must be agents")
+    d = pos[src] - pos[dst]
+    bearing = np.arctan2(d[:, 1], d[:, 0])
+    if phi is not None:
+        bearing = np.where(np.isnan(phi), bearing, phi)
+    c, s = np.cos(bearing), np.sin(bearing)
+    terms = np.empty((rii.size, 2, 2))
+    terms[:, 0, 0] = rii * (c * c)
+    terms[:, 0, 1] = terms[:, 1, 0] = rii * (c * s)
+    terms[:, 1, 1] = rii * (s * s)
+
+    n = 2 * int(agent_of.max(initial=-1) + 1)
+    j_a = np.zeros((n, n))
+    j_c = np.zeros((n, n))
+    to_anchor = m < 0
+    np.add.at(_blocks(j_a), (k[to_anchor], k[to_anchor]), terms[to_anchor])
+
+    coop = ~to_anchor
+    k, m, terms = k[coop], m[coop], terms[coop]
+    if reciprocal:
+        implied = ~np.isin(m * n + k, k * n + m)
+        terms = terms * (1.0 + implied)[:, None, None]
+    jc = _blocks(j_c)
+    np.add.at(jc, (k, k), terms)
+    np.add.at(jc, (m, m), terms)
+    np.add.at(jc, (k, m), -terms)
+    np.add.at(jc, (m, k), -terms)
+    return j_a, j_c
 
 
 def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> NetworkEfim:
@@ -430,8 +477,8 @@ def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> Ne
     the block diagonal of ``xi_p``; a full PSD matrix may be supplied
     instead for correlated priors.
 
-    The links are turned into index and contribution arrays once and
-    scattered into the blocks with ``np.add.at``.
+    The links are turned into arrays once and assembled by
+    ``assemble_links``.
     """
     agents = topo.agents
     if not agents:
@@ -439,23 +486,7 @@ def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> Ne
     ids = tuple(n.node_id for n in agents)
     index = {node_id: k for k, node_id in enumerate(ids)}
     n = 2 * len(ids)
-    j_a = np.zeros((n, n))
-    j_c = np.zeros((n, n))
-
-    k, m, terms = _link_terms(topo, index)
-    to_anchor = m < 0
-    np.add.at(_blocks(j_a), (k[to_anchor], k[to_anchor]), terms[to_anchor])
-
-    coop = ~to_anchor
-    k, m, terms = k[coop], m[coop], terms[coop]
-    if topo.reciprocal:
-        implied = ~np.isin(m * n + k, k * n + m)
-        terms = terms * (1.0 + implied)[:, None, None]
-    jc = _blocks(j_c)
-    np.add.at(jc, (k, k), terms)
-    np.add.at(jc, (m, m), terms)
-    np.add.at(jc, (k, m), -terms)
-    np.add.at(jc, (m, k), -terms)
+    j_a, j_c = assemble_links(*_link_arrays(topo, index), reciprocal=topo.reciprocal)
 
     if xi_p_override is not None:
         xi_p = np.array(xi_p_override, dtype=float)

@@ -1,13 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import copy
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 from locbounds.cli import main
-from locbounds.config import ConfigError, load_config, load_pulse_file, validate_output
+from locbounds.config import (
+    ConfigError,
+    load_config,
+    load_pulse_file,
+    load_schema,
+    validate_output,
+)
 from locbounds.ranging import gaussian_pulse
 
 
@@ -414,3 +422,31 @@ class TestConfigLoading:
         bad.write_text("\n".join(rows))
         with pytest.raises(ConfigError):
             load_pulse_file(str(bad))
+
+    def test_output_validator_raises_what_jsonschema_does(self, tmp_path, capsys):
+        """The cached validator rejects a document with the same error as
+        ``jsonschema.validate``, on every call."""
+        assert main(["speb", write_config(tmp_path, TWO_AGENT_CONFIG), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        validate_output(payload, "speb_output")
+        broken = []
+        for edit in (
+            lambda d: d.pop("agents"),
+            lambda d: d["agents"][1].update(speb_m2="big"),
+            lambda d: d["agents"][0]["dpeb"][0].pop("value_m2"),
+            lambda d: d.update(extra=1),
+            # two errors; best_match picks the shallower, not the first found
+            lambda d: (d["agents"][0]["dpeb"][0].pop("value_m2"), d["agents"][1].pop("id")),
+        ):
+            doc = copy.deepcopy(payload)
+            edit(doc)
+            broken.append(doc)
+        for doc in broken:
+            with pytest.raises(jsonschema.ValidationError) as expected:
+                jsonschema.validate(doc, load_schema("speb_output"))
+            for _ in range(2):
+                with pytest.raises(jsonschema.ValidationError) as got:
+                    validate_output(doc, "speb_output")
+                assert got.value.message == expected.value.message
+                assert list(got.value.absolute_path) == list(expected.value.absolute_path)
+                assert list(got.value.schema_path) == list(expected.value.schema_path)

@@ -21,8 +21,12 @@ from locbounds.experiments import (
     run_fig8,
     run_scaling,
     substream,
+    _draw,
+    _first_doubles,
     _noncoop_spebs,
     _per_agent_spebs,
+    _philox_first_block,
+    _stream_keys,
 )
 from locbounds.infogeo import speb
 from locbounds.network import Node, Topology, agent_efim, build_efim
@@ -43,6 +47,49 @@ class TestSubstream:
     def test_key_bounds(self):
         with pytest.raises(ValueError):
             substream(1, 0, 16)
+
+    def test_key_bounds_on_index_arrays(self):
+        for role, index in ((1, [0, 1 << 28]), (1, [-1, 0]), (0, [0]), (16, [0])):
+            with pytest.raises(ValueError, match="role in"):
+                _stream_keys(0, role, np.array(index))
+
+
+class TestVectorizedPhilox:
+    """The array kernel against numpy's own Philox, bit for bit."""
+
+    def test_first_block_matches_numpy_philox(self):
+        rng = np.random.default_rng(2024)
+        seeds = [0, 1, (1 << 64) - 1, int(rng.integers(1 << 62))]
+        trials = [0, 1, (1 << 32) - 1, int(rng.integers(1 << 32))]
+        keys = []
+        for trial in trials:
+            for role in (1, 2, 3, 15):
+                index = rng.integers(0, 1 << 28, size=6250)
+                index[:2] = (0, (1 << 28) - 1)
+                keys.append(_stream_keys(trial, role, index))
+        keys = np.concatenate(keys)  # 100,000 keys, each under every seed below
+        for j, seed in enumerate(seeds):
+            block = _philox_first_block(seed, keys)
+            # keyed as substream keys them: a uint64 array, not Python ints
+            pairs = np.stack([np.full(keys.size, seed, dtype=np.uint64), keys], axis=1)
+            # every key once across the seeds, the extremes under each
+            index = [0, 1, 6250, 6251, *range(j, keys.size, len(seeds))]
+            ref = np.array([np.random.Philox(key=pairs[i]).random_raw(4) for i in index])
+            wrong = np.flatnonzero((block[:, index].T != ref).any(axis=1))
+            assert wrong.size == 0, (seed, keys[np.array(index)[wrong[:5]]])
+
+    def test_doubles_match_substream_draws(self):
+        half = 7.3
+        for seed, trial in ((0, 0), (5, 3), ((1 << 64) - 1, (1 << 32) - 1)):
+            streams = ((1, 40), (2, 9))
+            u = _first_doubles(seed, trial, streams)
+            scaled = -half + (half - -half) * u
+            pairs = [(role, i) for role, count in streams for i in range(count)]
+            for row, (role, i) in enumerate(pairs):
+                np.testing.assert_array_equal(u[row], substream(seed, trial, role, i).random(2))
+                np.testing.assert_array_equal(
+                    scaled[row], substream(seed, trial, role, i).uniform(-half, half, size=2)
+                )
 
 
 class TestGenDense:
@@ -85,6 +132,13 @@ class TestGenDense:
         block = net.j_a[:2, :2]
         eigs = np.linalg.eigvalsh(block)
         assert eigs[0] < 1e-12 * eigs[1]
+
+    def test_coincident_agents_rejected(self):
+        """Agents 1e-300 apart have an infinite free-space intensity."""
+        with pytest.raises(ValueError, match="rii must be finite and nonnegative"):
+            gen_dense(0, 2, side=1e-300)
+        with pytest.raises(ValueError, match="rii must be finite and nonnegative"):
+            gen_dense(0, 1, side=1e-300, anchor_layout="random", nb=1)
 
     def test_random_layout_needs_nb(self):
         with pytest.raises(ValueError):
@@ -342,12 +396,73 @@ class TestRunners:
             run_scaling(spec)
 
     def test_spec_validation(self):
+        with pytest.raises(ValueError, match="path_exponent must be positive"):
+            default_spec("extended_scaling", path_exponent=0.0)
+        with pytest.raises(ValueError, match="rmax must be positive"):
+            default_spec("extended_scaling", rmax=-1.0)
         with pytest.raises(ValueError):
             ExperimentSpec(kind="nope")
         with pytest.raises(ValueError):
             ExperimentSpec(kind="fig6", trials=0)
         with pytest.raises(ValueError):
             ExperimentSpec(kind="fig6", layouts=("weird",))
+
+
+class TestStudyDraws:
+    """The studies draw and assemble as arrays; the network must equal the
+    public path's, ``build_efim(gen_*(...))``, bit for bit."""
+
+    @staticmethod
+    def assert_same(net, ref):
+        assert net.agent_ids == ref.agent_ids
+        for name in ("j_a", "j_c", "xi_p"):
+            assert np.array_equal(getattr(net, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("layout", ["setI", "setII", "both", "random"])
+    @pytest.mark.parametrize("fading", [0.0, 4.0])
+    def test_dense(self, layout, fading):
+        spec = default_spec("fig6", seed=11, nb=5, fading_sigma_db=fading)
+        for trial, na in ((0, 1), (2, 7)):
+            point = {"layout": layout, "na": na}
+            ref = gen_dense(
+                11,
+                na,
+                nb=5 if layout == "random" else None,
+                anchor_layout=layout,
+                d=spec.d_anchor,
+                fading_sigma_db=fading,
+                trial=trial,
+            )
+            self.assert_same(_draw(spec, "fig6", point, trial), build_efim(ref))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(poisson_counts=True, fading_sigma_db=3.0, path_exponent=1.5),
+            dict(cooperative=True, rho_b=0.01, rho_a=0.02, r0=1.0, rmax=6.0),
+        ],
+    )
+    def test_extended(self, overrides):
+        spec = default_spec("extended_scaling", seed=3, **overrides)
+        rho_a = spec.rho_a if spec.cooperative else 0.0
+        for trial, n in ((0, 16), (4, 64)):
+            radius = math.sqrt(n / (math.pi * spec.rho_b))
+            ref = gen_extended(
+                3,
+                rho_b=spec.rho_b,
+                rho_a=rho_a,
+                radius=radius,
+                r0=spec.r0,
+                rmax=spec.rmax,
+                b=spec.path_exponent,
+                poisson_counts=spec.poisson_counts,
+                fading_sigma_db=spec.fading_sigma_db,
+                trial=trial,
+            )
+            net = _draw(spec, "extended_scaling", {"radius_m": radius}, trial)
+            self.assert_same(net, build_efim(ref))
+            assert net.n_agents == len(ref.agents)
 
 
 class TestOutputs:
