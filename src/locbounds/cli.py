@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo study, write CSV + JSON")
     p_exp.add_argument("kind", choices=EXPERIMENT_KINDS)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=int, default=None, help="default: the config's, else 0")
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--out", default=".", help="output directory")
     p_exp.add_argument(
@@ -152,7 +153,7 @@ def _cmd_speb(args) -> int:
     records = []
     any_unlocalizable = False
     for agent_id in agent_ids:
-        j = agent_efim(net, agent_id, use_pinv=True)
+        j = agent_efim(net, agent_id)
         value = speb(j)
         localizable = value is not UNLOCALIZABLE
         any_unlocalizable |= not localizable
@@ -225,7 +226,7 @@ def _cmd_bounds(args) -> int:
     records = []
     any_unlocalizable = False
     for agent_id, (low, high, _) in efim_bounds_all(net).items():
-        exact = speb(agent_efim(net, agent_id, use_pinv=True))
+        exact = speb(agent_efim(net, agent_id))
         upper = speb(low)  # loose information bounds the error from above
         lower = speb(high)
         localizable = upper is not UNLOCALIZABLE
@@ -280,25 +281,19 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
+    spec = None
     if args.config is not None:
-        doc = load_config(args.config)
-        if doc.experiment is not None:
-            if doc.experiment.kind != args.kind:
-                raise _InputError(
-                    f"config experiment kind {doc.experiment.kind!r} does not match {args.kind!r}"
-                )
-            overrides = {
-                k: v for k, v in doc.raw["experiment"].items() if k not in ("kind", "seed", "trials")
-            }
-            for key in ("na_sweep", "d_sweep", "n_sweep", "layouts"):
-                if key in overrides:
-                    overrides[key] = tuple(overrides[key])
-    trials = args.trials
-    if trials is None and args.config is not None and "experiment" in doc.raw:
-        trials = doc.raw["experiment"].get("trials")
+        spec = load_config(args.config).experiment
+        if spec is not None and spec.kind != args.kind:
+            raise _InputError(
+                f"config experiment kind {spec.kind!r} does not match {args.kind!r}"
+            )
+    # flags win over the config's values, which win over the kind's defaults
+    flags = {"seed": args.seed, "trials": args.trials}
     try:
-        spec = default_spec(args.kind, seed=args.seed, trials=trials, **overrides)
+        if spec is None:
+            spec = default_spec(args.kind)
+        spec = replace(spec, **{k: v for k, v in flags.items() if v is not None})
         result = run_experiment(spec)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc

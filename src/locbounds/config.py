@@ -23,7 +23,7 @@ from typing import Optional
 import jsonschema
 import numpy as np
 
-from .experiments import ExperimentSpec
+from .experiments import ExperimentSpec, default_spec
 from .network import Node, Topology
 from .ranging import (
     SPEED_OF_LIGHT,
@@ -78,7 +78,8 @@ def validate_output(document: dict, schema_name: str) -> None:
 
 @dataclass(frozen=True)
 class ConfigDoc:
-    """Parsed configuration: resolved topology plus optional experiment spec."""
+    """Parsed configuration: resolved topology plus optional experiment spec
+    (the kind's defaults with the document's values on top)."""
 
     version: int
     topology: Optional[Topology]
@@ -113,7 +114,10 @@ def load_config(path: str) -> ConfigDoc:
         for key in ("na_sweep", "d_sweep", "n_sweep", "layouts"):
             if key in exp:
                 exp[key] = tuple(exp[key])
-        experiment = ExperimentSpec(**exp)
+        try:
+            experiment = default_spec(exp.pop("kind"), seed=exp.pop("seed", 0), **exp)
+        except ValueError as exc:
+            raise ConfigError(str(exc), location="experiment") from exc
     return ConfigDoc(version=raw["version"], topology=topology, experiment=experiment, raw=raw)
 
 
@@ -121,15 +125,20 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
     network = raw["network"]
     nodes = []
     positions: dict[str, np.ndarray] = {}
-    for entry in network["nodes"]:
+    for i, entry in enumerate(network["nodes"]):
         prior = entry.get("prior")
-        node = Node(
-            node_id=entry["id"],
-            kind=entry["kind"],
-            position=np.array(entry["position"], dtype=float),
-            prior_info=np.array(prior["info"], dtype=float) if prior else None,
-            prior_mean=np.array(prior["mean"], dtype=float) if prior and "mean" in prior else None,
-        )
+        try:
+            node = Node(
+                node_id=entry["id"],
+                kind=entry["kind"],
+                position=np.array(entry["position"], dtype=float),
+                prior_info=np.array(prior["info"], dtype=float) if prior else None,
+                prior_mean=(
+                    np.array(prior["mean"], dtype=float) if prior and "mean" in prior else None
+                ),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc), location=f"network/nodes/{i}") from exc
         nodes.append(node)
         positions[node.node_id] = node.eval_position()
 
@@ -144,53 +153,60 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
 
     links = []
     for i, entry in enumerate(network.get("links", [])):
-        loc = f"network/links/{i}"
-        src, dst = entry["from"], entry["to"]
-        if src not in positions or dst not in positions:
-            missing = src if src not in positions else dst
-            raise ConfigError(f"unknown node id {missing!r}", location=loc)
-        distance = entry.get("distance_m")
-        if distance is None:
-            distance = float(np.hypot(*(positions[src] - positions[dst])))
-        if "rii" in entry:
-            rii = float(entry["rii"])
-        elif "waveform" in entry:
-            name = entry["waveform"]
-            if name not in waveforms:
-                raise ConfigError(f"unknown waveform {name!r}", location=loc)
-            channel_raw = entry["channel"]
-            channel = MultipathChannel(
-                delays=np.array(channel_raw["delays_s"], dtype=float),
-                amplitudes=np.array(channel_raw["amplitudes"], dtype=float),
-                los=channel_raw.get("los", True),
-            )
-            rii = rii_no_prior(waveforms[name], channel)
-        else:
-            pl = entry["pathloss"]
-            if distance <= 0.0:
-                raise ConfigError("path-loss link needs a positive distance", location=loc)
-            rii = rii_pathloss(
-                distance,
-                pl["b"],
-                z=pl.get("z", 1.0),
-                r0=pl.get("r0", 0.0),
-                rmax=pl.get("rmax"),
-            )
-        links.append(
-            RangingLink(
-                from_id=src,
-                to_id=dst,
-                rii=rii,
-                phi=entry.get("phi_rad"),
-                distance=entry.get("distance_m"),
-            )
-        )
+        try:
+            links.append(_resolve_link(entry, positions, waveforms))
+        except ValueError as exc:
+            raise ConfigError(str(exc), location=f"network/links/{i}") from exc
     try:
         return Topology(
             nodes=tuple(nodes), links=tuple(links), reciprocal=network.get("reciprocal", False)
         )
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc), location="network") from exc
+
+
+def _resolve_link(
+    entry: dict, positions: dict[str, np.ndarray], waveforms: dict[str, WaveformModel]
+) -> RangingLink:
+    """One link entry with its intensity resolved; raises ``ValueError``."""
+    src, dst = entry["from"], entry["to"]
+    if src not in positions or dst not in positions:
+        missing = src if src not in positions else dst
+        raise ValueError(f"unknown node id {missing!r}")
+    distance = entry.get("distance_m")
+    if distance is None:
+        distance = float(np.hypot(*(positions[src] - positions[dst])))
+    if "rii" in entry:
+        rii = float(entry["rii"])
+    elif "waveform" in entry:
+        name = entry["waveform"]
+        if name not in waveforms:
+            raise ValueError(f"unknown waveform {name!r}")
+        channel_raw = entry["channel"]
+        channel = MultipathChannel(
+            delays=np.array(channel_raw["delays_s"], dtype=float),
+            amplitudes=np.array(channel_raw["amplitudes"], dtype=float),
+            los=channel_raw.get("los", True),
+        )
+        rii = rii_no_prior(waveforms[name], channel)
+    else:
+        pl = entry["pathloss"]
+        if distance <= 0.0:
+            raise ValueError("path-loss link needs a positive distance")
+        rii = rii_pathloss(
+            distance,
+            pl["b"],
+            z=pl.get("z", 1.0),
+            r0=pl.get("r0", 0.0),
+            rmax=pl.get("rmax"),
+        )
+    return RangingLink(
+        from_id=src,
+        to_id=dst,
+        rii=rii,
+        phi=entry.get("phi_rad"),
+        distance=entry.get("distance_m"),
+    )
 
 
 def load_pulse_file(path: str, n0_half: float = 1.0, c: float = SPEED_OF_LIGHT) -> WaveformModel:

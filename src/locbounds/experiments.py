@@ -231,6 +231,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         for name in ("side", "d_anchor", "k_const", "rho_b", "r0", "path_exponent"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -243,6 +247,19 @@ class ExperimentSpec:
             if layout not in _ANCHOR_LAYOUTS:
                 raise ValueError(f"unknown anchor layout {layout!r}")
 
+
+_FLOAT_FIELDS = (
+    "side",
+    "d_anchor",
+    "k_const",
+    "rho_b",
+    "r0",
+    "path_exponent",
+    "rmax",
+    "rho_a",
+    "fading_sigma_db",
+    "lambda0",
+)
 
 _SPEC_DEFAULTS: dict[str, dict] = {
     "fig4": dict(trials=1),

@@ -16,9 +16,9 @@ over random positions is out of scope.
 
 ``NetworkEfim.agent_info`` holds every agent's equivalent information, the
 Schur complement of the total onto that agent, from one recursive-halving
-pass (see ``_halving_reduce``); ``agent_efim(..., use_pinv=True)`` and the
-Monte Carlo studies read it, so the reduction and its singularity verdict
-are decided here alone.
+pass (see ``_halving_reduce``); ``agent_efim`` and the Monte Carlo studies
+read it, so the reduction and its singularity verdict are decided here
+alone, per agent.
 
 ``join``/``leave`` update an assembled network incrementally and agree with
 batch re-assembly; ``temporal_efim`` reuses the same machinery for a single
@@ -31,7 +31,8 @@ arrays once (bearings from the evaluation positions unless a link
 overrides them); ``assemble_links`` scatters the rank-one contributions of
 such arrays into the blocks with ``np.add.at``, and no per-link 2x2
 objects are built. The Monte Carlo studies draw their networks as arrays
-and call ``assemble_links`` directly.
+and call ``assemble_links`` directly; ``join`` calls it on the newcomer's
+links alone.
 
 ``Topology`` and ``NetworkEfim`` are immutable snapshots; updates return new
 values, so concurrent readers are safe.
@@ -54,7 +55,6 @@ from .infogeo import (
     SingularComplementError,
     is_singular,
     min_eig_blocks,
-    rdm,
     schur_reduce,
     speb_blocks,
 )
@@ -504,36 +504,25 @@ def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> Ne
     return NetworkEfim(agent_ids=ids, j_a=j_a, j_c=j_c, xi_p=xi_p, topology=topo)
 
 
-def agent_efim(net: NetworkEfim, agent_id: str, use_pinv: bool = False) -> InfoMatrix2:
-    """Reduce the network information onto one agent's 2x2 block.
+def agent_efim(net: NetworkEfim, agent_id: str) -> InfoMatrix2:
+    """One agent's equivalent information: its block of ``net.agent_info``,
+    the Schur complement of the network information onto the agent.
 
-    By default this is a strict Schur reduction: it raises
-    ``SingularComplementError`` when the eliminated agents carry singular
-    information (they would be unlocalizable); the returned block itself
-    may still be singular, which ``speb`` reports as unlocalizable.
-
-    With ``use_pinv=True`` it never raises and returns the agent's block of
-    ``net.agent_info``, computed once for all agents: a singular total
-    falls back to per-agent pseudo-inverse reductions, and eigenvalues the
-    singularity rule calls zero, or within the reduction's rounding error,
-    are set to zero.
+    It is defined whatever the other agents are and never raises: an
+    unlocalizable agent gets a singular block, which ``speb`` reports as
+    unlocalizable, and does not affect any other agent's answer.
     """
-    k = net.index(agent_id)
-    if use_pinv:
-        return InfoMatrix2.from_array(net.agent_info[k])
-    if net.n_agents == 1:
-        return net.total.diagonal_block(0)
-    reduced = schur_reduce(net.total, keep=[k])
-    return reduced.diagonal_block(0)
+    return InfoMatrix2.from_array(net.agent_info[net.index(agent_id)])
 
 
 def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> NetworkEfim:
     """Extend an assembled network with one more agent.
 
-    The bordered update adds the pairwise cooperation blocks to the existing
-    diagonal, places their negatives on the new border, and fills the new
-    diagonal block with the newcomer's anchor information plus the block sum;
-    the result equals batch re-assembly of the extended topology.
+    Only the newcomer's links are scattered, by ``assemble_links``, into the
+    blocks zero-padded by one agent: they add ranging-direction terms to the
+    existing diagonal, their negatives on the new border and the newcomer's
+    anchor information on its own diagonal; the result equals batch
+    re-assembly of the extended topology.
     """
     if net.topology is None:
         raise ValueError("join requires a NetworkEfim built from a topology")
@@ -554,38 +543,17 @@ def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> Net
     )
 
     ids = net.agent_ids + (new_agent.node_id,)
+    index = {node_id: k for k, node_id in enumerate(ids)}
+    # every agent pair in ``links`` holds the newcomer, so both directions of
+    # a pair are among them and the reciprocal rule needs no other link
+    j_a, j_c = assemble_links(
+        *_link_arrays(replace(new_topo, links=links), index), reciprocal=topo.reciprocal
+    )
     n_old = 2 * net.n_agents
-    n = n_old + 2
-
-    j_a = np.zeros((n, n))
-    j_a[:n_old, :n_old] = net.j_a
-    j_c = np.zeros((n, n))
-    j_c[:n_old, :n_old] = net.j_c
-    xi_p = np.zeros((n, n))
+    j_a[:n_old, :n_old] += net.j_a
+    j_c[:n_old, :n_old] += net.j_c
+    xi_p = np.zeros_like(j_a)
     xi_p[:n_old, :n_old] = net.xi_p
-
-    coop_directed: dict[tuple[str, str], np.ndarray] = {}
-    for link in links:
-        phi, _ = new_topo.link_geometry(link)
-        contrib = link.rii * rdm(phi).as_array()
-        if link.from_id == new_agent.node_id and not new_topo.node(link.to_id).is_agent:
-            j_a[n_old:, n_old:] += contrib
-        else:
-            key = (link.from_id, link.to_id)
-            coop_directed[key] = coop_directed.get(key, 0.0) + contrib
-    pair_blocks: dict[str, np.ndarray] = {}
-    for (f, t), mat in coop_directed.items():
-        peer = t if f == new_agent.node_id else f
-        pair_blocks[peer] = pair_blocks.get(peer, 0.0) + mat
-        if new_topo.reciprocal and (t, f) not in coop_directed:
-            pair_blocks[peer] = pair_blocks[peer] + mat
-    for peer, c_block in pair_blocks.items():
-        m = net.index(peer)
-        j_c[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] += c_block
-        j_c[n_old:, n_old:] += c_block
-        j_c[2 * m : 2 * m + 2, n_old:] -= c_block
-        j_c[n_old:, 2 * m : 2 * m + 2] -= c_block
-
     if new_agent.prior_info is not None:
         xi_p[n_old:, n_old:] = new_agent.prior_info
 

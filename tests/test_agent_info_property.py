@@ -108,7 +108,7 @@ def test_never_raises_and_agrees_with_per_agent_reduction(topo, order):
     unanchored = _unanchored_ids(topo)
     anchors_only = net.j_a + net.xi_p
     for k, agent_id in enumerate(net.agent_ids):
-        j = agent_efim(net, agent_id, use_pinv=True)
+        j = agent_efim(net, agent_id)
         assert np.array_equal(j.as_array(), info[k])
         if agent_id in unanchored:
             assert speb(j) is UNLOCALIZABLE

@@ -131,6 +131,38 @@ class TestSpebCommand:
         assert "network/nodes/0" in err
 
 
+# Schema-valid documents that the network constructors reject, each with the
+# JSON path of the offending entry.
+_NODES = (
+    '[{"id": "u", "kind": "agent", "position": [0, 0]},'
+    ' {"id": "A", "kind": "anchor", "position": [1, 0]}]'
+)
+_REJECTED_NETWORKS = {
+    "self_link": (
+        '{"nodes": %s, "links": [{"from": "u", "to": "u", "rii": 1.0}]}' % _NODES,
+        "network/links/0: a node cannot range against itself",
+    ),
+    "anchor_prior": (
+        '{"nodes": [{"id": "u", "kind": "agent", "position": [0, 0]}, {"id": "A",'
+        ' "kind": "anchor", "position": [1, 0], "prior": {"info": [[1, 0], [0, 1]]}}]}',
+        "network/nodes/1: anchors carry no position prior",
+    ),
+    "non_psd_prior": (
+        '{"nodes": [{"id": "u", "kind": "agent", "position": [0, 0],'
+        ' "prior": {"info": [[1, 0], [0, -1]]}}]}',
+        "network/nodes/0: InfoMatrix2 is not PSD within tolerance",
+    ),
+    "rii_overflow": (
+        '{"nodes": %s, "links": [{"from": "u", "to": "A", "rii": 1e400}]}' % _NODES,
+        "network/links/0: rii must be finite and nonnegative",
+    ),
+    "nan_position": (
+        '{"nodes": [{"id": "u", "kind": "agent", "position": [NaN, 0]}]}',
+        "network/nodes/0: position must be a finite 2-vector",
+    ),
+}
+
+
 class TestBoundsCommand:
     def test_two_agent_ratio_exactly_one(self, tmp_path, capsys):
         code = main(["bounds", write_config(tmp_path, TWO_AGENT_CONFIG)])
@@ -256,6 +288,31 @@ class TestExperimentCommand:
         assert code == 0
         rows = (tmp_path / "fig7_2.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header plus the single sweep point
+
+    def test_config_seed_used_unless_flag_given(self, tmp_path, capsys):
+        """Seed precedence: --seed, then the config's seed, then 0."""
+        doc = {
+            "version": 1,
+            "experiment": {"kind": "fig7", "trials": 2, "seed": 7, "na_sweep": [2]},
+        }
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["experiment", "fig7", "--config", config, "--out", str(out)]) == 0
+        assert "fig7 seed=7 trials=2" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["fig7_7.csv", "fig7_7.json"]
+        args = ["experiment", "fig7", "--config", config, "--seed", "2", "--trials", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert "fig7 seed=2 trials=3" in capsys.readouterr().out
+        assert (out / "fig7_2.csv").exists()
+
+    def test_non_finite_experiment_section_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"version": 1, "experiment": {"kind": "fig7", "side": Infinity}}')
+        out = tmp_path / "out"
+        code = main(["experiment", "fig7", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: experiment: side must be finite\n"
+        assert not out.exists()
 
     def test_one_point_extended_sweep_exit_one(self, tmp_path, capsys):
         """The terminal ratio needs two sweep points; one is an input error."""
@@ -422,6 +479,17 @@ class TestConfigLoading:
         bad.write_text("\n".join(rows))
         with pytest.raises(ConfigError):
             load_pulse_file(str(bad))
+
+    @pytest.mark.parametrize("command", ["speb", "bounds"])
+    @pytest.mark.parametrize("case", sorted(_REJECTED_NETWORKS))
+    def test_constructor_rejection_is_config_error(self, tmp_path, capsys, command, case):
+        network, message = _REJECTED_NETWORKS[case]
+        path = tmp_path / "config.json"
+        path.write_text('{"version": 1, "network": %s}' % network)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_output_validator_raises_what_jsonschema_does(self, tmp_path, capsys):
         """The cached validator rejects a document with the same error as

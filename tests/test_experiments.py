@@ -290,7 +290,7 @@ class TestRunners:
         )
         net = build_efim(Topology(nodes, links, reciprocal=True))
         study = _per_agent_spebs(net)
-        cli = [speb(agent_efim(net, agent_id, use_pinv=True)) for agent_id in net.agent_ids]
+        cli = [speb(agent_efim(net, agent_id)) for agent_id in net.agent_ids]
         for values in (study, cli):
             assert math.isclose(values[0], 1.3556651431320663, rel_tol=1e-12)
             assert math.isinf(values[1])
@@ -406,6 +406,21 @@ class TestRunners:
             ExperimentSpec(kind="fig6", trials=0)
         with pytest.raises(ValueError):
             ExperimentSpec(kind="fig6", layouts=("weird",))
+        for name in (
+            "side",
+            "d_anchor",
+            "k_const",
+            "rho_b",
+            "r0",
+            "path_exponent",
+            "rmax",
+            "rho_a",
+            "fading_sigma_db",
+            "lambda0",
+        ):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ExperimentSpec(kind="extended_scaling", **{name: value})
 
 
 class TestStudyDraws:

@@ -8,8 +8,8 @@ import pytest
 from locbounds.infogeo import (
     UNLOCALIZABLE,
     InfoMatrix2,
-    SingularComplementError,
     rdm,
+    schur_reduce,
     speb,
 )
 from locbounds.network import (
@@ -285,8 +285,10 @@ class TestAgentEfim:
             (RangingLink("u1", "A", 1.0), RangingLink("u1", "B", 1.0)),
         )
         net = build_efim(topo)
-        with pytest.raises(SingularComplementError):
-            agent_efim(net, "u1")  # eliminating u2, which has no information
+        # u2 has no information; u1 keeps its own answer, its anchors-only SPEB
+        u1 = speb(agent_efim(net, "u1"))
+        assert math.isfinite(u1)
+        assert u1 == pytest.approx(speb(net.anchor_block("u1")), rel=1e-12)
         assert speb(agent_efim(net, "u2")) is UNLOCALIZABLE
 
     def test_adding_a_link_never_hurts_anyone(self):
@@ -308,7 +310,7 @@ class TestAgentInfo:
             net = build_efim(random_topology(rng, n_agents=n_agents, with_priors=True))
             for k, agent_id in enumerate(net.agent_ids):
                 np.testing.assert_allclose(
-                    net.agent_info[k], agent_efim(net, agent_id).as_array(), rtol=1e-10
+                    net.agent_info[k], schur_reduce(net.total, keep=[k]).array, rtol=1e-10
                 )
 
     def test_anchor_free_triangle_beside_anchored_agent(self):
@@ -328,7 +330,7 @@ class TestAgentInfo:
             RangingLink("t3", "t1", 0.5),
         )
         net = build_efim(Topology(nodes, links, reciprocal=True))
-        spebs = [speb(agent_efim(net, agent_id, use_pinv=True)) for agent_id in net.agent_ids]
+        spebs = [speb(agent_efim(net, agent_id)) for agent_id in net.agent_ids]
         assert spebs[0] == pytest.approx(2.0, rel=1e-12)
         assert all(value is UNLOCALIZABLE for value in spebs[1:])
 
@@ -353,7 +355,7 @@ class TestAgentInfo:
         net = build_efim(Topology(nodes, links, reciprocal=True))
         anchors_only = net.j_a + net.xi_p
         for k, agent_id in enumerate(net.agent_ids):
-            coop = speb(agent_efim(net, agent_id, use_pinv=True))
+            coop = speb(agent_efim(net, agent_id))
             assert coop == pytest.approx(10001.0, rel=1e-5)
             own = InfoMatrix2.from_array(anchors_only[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
             assert coop <= speb(own)
@@ -376,6 +378,67 @@ class TestJoinLeave:
             np.testing.assert_allclose(
                 grown.total.array, batch.total.array, atol=1e-12 * batch.total.array.max()
             )
+
+    @staticmethod
+    def _check_join(net, newcomer, links):
+        grown = join(net, newcomer, links)
+        batch = build_efim(grown.topology)
+        assert grown.agent_ids == batch.agent_ids
+        scale = batch.total.array.max()
+        for part in ("j_a", "j_c", "xi_p"):
+            np.testing.assert_allclose(
+                getattr(grown, part), getattr(batch, part), rtol=0.0, atol=1e-12 * scale
+            )
+        return grown
+
+    def test_join_reciprocal_one_direction_links(self):
+        """Under ``reciprocal=True`` a joiner link whose reverse is absent
+        counts twice, one given in both directions counts as given."""
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            topo = random_topology(rng, n_agents=4)
+            net = build_efim(Topology(topo.nodes, topo.links, reciprocal=True))
+            lam = rng.uniform(0.1, 1.0, size=4)
+            links = [
+                RangingLink("a9", "b1", lam[0]),
+                RangingLink("a9", "a0", lam[1]),
+                RangingLink("a2", "a9", lam[2]),
+                RangingLink("a9", "a3", lam[3]),
+                RangingLink("a3", "a9", lam[3]),
+            ]
+            grown = self._check_join(net, Node("a9", "agent", rng.uniform(-10, 10, 2)), links)
+            one_way = build_efim(Topology(grown.topology.nodes, grown.topology.links))
+            assert not np.allclose(grown.j_c, one_way.j_c)
+
+    def test_join_phi_override(self):
+        net = build_efim(two_agent_topology())
+        links = [
+            RangingLink("u3", "u1", 0.7, phi=0.3),
+            RangingLink("u2", "u3", 0.4, phi=-1.1),
+            RangingLink("u3", "C", 0.5, phi=2.0),
+        ]
+        grown = self._check_join(net, _agent("u3", 2.0, 2.0), links)
+        np.testing.assert_allclose(
+            grown.cooperation_block("u1", "u3"), 0.7 * rdm(0.3).as_array(), atol=1e-15
+        )
+
+    def test_join_with_prior_mean(self):
+        """Bearings of the joiner's links are evaluated at its prior mean."""
+        net = build_efim(two_agent_topology())
+        newcomer = Node(
+            "u3",
+            "agent",
+            np.array([2.0, 2.0]),
+            prior_info=np.array([[0.3, 0.1], [0.1, 0.2]]),
+            prior_mean=np.array([-1.0, 2.5]),
+        )
+        links = [
+            RangingLink("u3", "u1", 0.6),
+            RangingLink("u2", "u3", 0.3),
+            RangingLink("u3", "D", 0.8),
+        ]
+        grown = self._check_join(net, newcomer, links)
+        np.testing.assert_array_equal(grown.xi_p[4:, 4:], newcomer.prior_info)
 
     def test_join_with_no_links_extends_block_diagonal(self):
         net = build_efim(two_agent_topology())
@@ -424,8 +487,6 @@ class TestJoinLeave:
         newcomer = Node("u3", "agent", np.array([0.0, 2.0]), prior_info=np.diag([t2, t2]))
         grown = join(net, newcomer, [RangingLink("u1", "u3", 0.8)])
         keep = [grown.index("u1"), grown.index("u2")]
-        from locbounds.infogeo import schur_reduce
-
         reduced = schur_reduce(grown.total, keep=keep)
 
         as_anchor = Topology(
