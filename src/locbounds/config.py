@@ -7,6 +7,12 @@ surface with line and column. Links may carry an explicit intensity, a
 (waveform, channel) pair resolved through the ranging module, or a
 path-loss model evaluated at the link distance.
 
+Config documents and produced outputs are checked against the published
+schemas by a checker compiled once per schema (``_compile``), which
+decides acceptance. Only a rejected document goes through ``jsonschema``,
+which explains the rejection: its first error by path for a config, its
+``best_match`` for an output, exactly as a jsonschema-only check reports.
+
 Pulse files are two-column numeric text (time_s, amplitude), one optional
 header line, uniform sample spacing.
 """
@@ -14,13 +20,13 @@ header line, uniform sample spacing.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
-import jsonschema
 import numpy as np
 
 from .experiments import ExperimentSpec, default_spec
@@ -58,10 +64,146 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+Check = Callable[[object], bool]
+
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "$defs"})
+_KEYWORDS = frozenset(
+    {"$ref", "type", "const", "enum", "oneOf", "required", "properties", "additionalProperties",
+     "items", "minItems", "maxItems", "minLength", "minimum", "exclusiveMinimum"}
+)
+
+
+def _is_number(x) -> bool:
+    t = type(x)
+    return t is float or t is int or (isinstance(x, numbers.Number) and t is not bool)
+
+
+_TYPES: dict[str, Check] = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+
+
+def _equals(value) -> Check:
+    """Equality as jsonschema compares scalars: ``True`` is not ``1``, ``1.0`` is."""
+    if isinstance(value, str):
+        return lambda x: x == value
+    if isinstance(value, bool) or value is None:
+        return lambda x: x is value
+    if _is_number(value):
+        return lambda x: x is not True and x is not False and x == value
+    raise ValueError(f"unsupported const/enum value {value!r}")
+
+
+def _all(checks: list[Check]) -> Check:
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x) -> bool:
+        for c in checks:
+            if not c(x):
+                return False
+        return True
+
+    return check
+
+
+def _compile(schema, root=None, defs=None) -> Check:
+    """Compile a JSON Schema (2020-12) built from the keywords the published
+    schemas use into one accept/reject predicate with jsonschema's semantics;
+    any other keyword raises ``ValueError``. As in jsonschema, each keyword
+    but ``type``, ``const``, ``enum`` and ``oneOf`` ignores instances of
+    other types.
+    """
+    if isinstance(schema, bool):
+        return lambda x: schema
+    if root is None:
+        root, defs = schema, {}
+        if schema.get("$schema", _DRAFT) != _DRAFT:
+            raise ValueError(f"unsupported schema dialect {schema['$schema']!r}")
+    unknown = schema.keys() - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"unsupported schema keyword(s) {sorted(unknown)}")
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if not set(types) <= _TYPES.keys():
+        raise ValueError(f"unsupported type {types!r}")
+    sub = lambda s: _compile(s, root, defs)  # noqa: E731
+    checks: list[Check] = []
+    if types:
+        kinds = tuple(_TYPES[t] for t in types)
+        checks.append(kinds[0] if len(kinds) == 1 else lambda x: any(k(x) for k in kinds))
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        if not ref.startswith("#/$defs/"):
+            raise ValueError(f"unsupported $ref {ref!r}")
+        name = ref[len("#/$defs/"):]
+        if name not in defs:
+            defs[name] = sub(root["$defs"][name])
+        checks.append(defs[name])
+    if "const" in schema:
+        checks.append(_equals(schema["const"]))
+    if "enum" in schema:
+        options = tuple(_equals(v) for v in schema["enum"])
+        checks.append(lambda x: any(eq(x) for eq in options))
+    if schema.keys() & {"required", "properties", "additionalProperties"}:
+        required = frozenset(schema.get("required", ()))
+        props = {k: sub(v) for k, v in schema.get("properties", {}).items()}
+        extra = sub(schema["additionalProperties"]) if "additionalProperties" in schema else None
+
+        def check_object(x) -> bool:
+            if not isinstance(x, dict):
+                return True
+            if not required <= x.keys():
+                return False
+            for key, value in x.items():
+                c = props.get(key, extra)
+                if c is not None and not c(value):
+                    return False
+            return True
+
+        checks.append(check_object)
+    if schema.keys() & {"items", "minItems", "maxItems"}:
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+        item = sub(schema["items"]) if "items" in schema else None
+        checks.append(
+            lambda x: not isinstance(x, list)
+            or (lo <= len(x) <= hi and (item is None or all(map(item, x))))
+        )
+    if "minLength" in schema:
+        n = schema["minLength"]
+        checks.append(lambda x: not isinstance(x, str) or len(x) >= n)
+    if schema.keys() & {"minimum", "exclusiveMinimum"}:
+        low, xlow = schema.get("minimum"), schema.get("exclusiveMinimum")
+        # jsonschema's rejection tests, negated, so NaN passes both bounds as it does there
+        checks.append(
+            lambda x: not _is_number(x)
+            or not ((low is not None and x < low) or (xlow is not None and x <= xlow))
+        )
+    if "oneOf" in schema:
+        branches = tuple(sub(s) for s in schema["oneOf"])
+        checks.append(lambda x: sum(1 for b in branches if b(x)) == 1)
+    return _all(checks) if checks else (lambda x: True)
+
+
+@cache
+def _compiled(schema_name: str) -> Check:
+    return _compile(load_schema(schema_name))
+
+
 @cache
 def _output_validator(schema_name: str):
-    """One validator per published schema, built (and the schema itself
-    checked) on first use."""
+    """One jsonschema validator per published schema, built (and the schema
+    itself checked) on the first rejection."""
+    import jsonschema
+
     schema = load_schema(schema_name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -71,6 +213,10 @@ def _output_validator(schema_name: str):
 def validate_output(document: dict, schema_name: str) -> None:
     """Validate a produced JSON document against its published schema;
     raises the error ``jsonschema.validate`` would."""
+    if _compiled(schema_name)(document):
+        return
+    import jsonschema
+
     error = jsonschema.exceptions.best_match(_output_validator(schema_name).iter_errors(document))
     if error is not None:
         raise error
@@ -97,12 +243,15 @@ def load_config(path: str) -> ConfigDoc:
     except json.JSONDecodeError as exc:
         raise ConfigError(exc.msg, location=f"line {exc.lineno}, column {exc.colno}") from exc
 
-    validator = jsonschema.Draft202012Validator(load_schema("config"))
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        pointer = "/".join(str(p) for p in err.absolute_path) or "(document root)"
-        raise ConfigError(err.message, location=pointer)
+    if not _compiled("config")(raw):
+        import jsonschema
+
+        validator = jsonschema.Draft202012Validator(load_schema("config"))
+        errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+        if errors:
+            err = errors[0]
+            pointer = "/".join(str(p) for p in err.absolute_path) or "(document root)"
+            raise ConfigError(err.message, location=pointer)
 
     base_dir = os.path.dirname(os.path.abspath(path))
     topology = None

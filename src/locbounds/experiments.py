@@ -77,7 +77,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 # unused here; perfbench/layertrace.py traces these names as the exact layer
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
-from scipy.stats import linregress
 
 from .bounds import effective_rii, efim_bounds_all
 from .infogeo import EllipseForm, speb, speb_blocks
@@ -246,6 +245,11 @@ class ExperimentSpec:
         for layout in self.layouts:
             if layout not in _ANCHOR_LAYOUTS:
                 raise ValueError(f"unknown anchor layout {layout!r}")
+        if not all(math.isfinite(d) and d > 0.0 for d in self.d_sweep):
+            raise ValueError("d_sweep entries must be finite and positive")
+        for name in ("na_sweep", "n_sweep"):
+            if not all(n >= 1 for n in getattr(self, name)):
+                raise ValueError(f"{name} entries must be >= 1")
 
 
 _FLOAT_FIELDS = (
@@ -880,6 +884,9 @@ def _sign_change(
 
 def _fit_loglog(x: Sequence[float], y: Sequence[float]) -> dict:
     """Slope of log y against log x with a 95% confidence half-width."""
+    # imported here, not at the top: it is most of the time `import locbounds.cli` takes
+    from scipy.stats import linregress
+
     res = linregress(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
     return {
         "slope": float(res.slope),

@@ -296,8 +296,8 @@ class RangingLink:
             raise ValueError("rii must be finite and nonnegative")
         if self.phi is not None and not math.isfinite(self.phi):
             raise ValueError("phi override must be finite")
-        if self.distance is not None and self.distance <= 0.0:
-            raise ValueError("distance override must be positive")
+        if self.distance is not None and not (math.isfinite(self.distance) and self.distance > 0.0):
+            raise ValueError("distance override must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -159,6 +161,17 @@ _REJECTED_NETWORKS = {
     "nan_position": (
         '{"nodes": [{"id": "u", "kind": "agent", "position": [NaN, 0]}]}',
         "network/nodes/0: position must be a finite 2-vector",
+    ),
+    # both pass the schema's exclusiveMinimum 0, as they do in jsonschema
+    "distance_overflow": (
+        '{"nodes": %s, "links": [{"from": "u", "to": "A", "rii": 1.0, "distance_m": 1e400}]}'
+        % _NODES,
+        "network/links/0: distance override must be finite and positive",
+    ),
+    "nan_distance": (
+        '{"nodes": %s, "links": [{"from": "u", "to": "A", "rii": 1.0, "distance_m": NaN}]}'
+        % _NODES,
+        "network/links/0: distance override must be finite and positive",
     ),
 }
 
@@ -490,6 +503,35 @@ class TestConfigLoading:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("value", ["1e400", "NaN"])
+    def test_non_finite_sweep_entry_is_config_error(self, tmp_path, capsys, value):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"version": 1, "experiment": {"kind": "fig8", "trials": 2, "d_sweep": [%s]}}' % value
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert excinfo.value.location == "experiment"
+        out = tmp_path / "out"
+        assert main(["experiment", "fig8", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment: d_sweep entries must be finite and positive")
+        assert not out.exists()
+
+    def test_import_leaves_jsonschema_and_scipy_stats_unloaded(self):
+        """Both cost start-up time and are needed only to explain a rejected
+        document or to fit a slope."""
+        code = (
+            "import sys, locbounds.cli; "
+            "print(sorted({'jsonschema', 'scipy.stats'} & set(sys.modules)))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_output_validator_raises_what_jsonschema_does(self, tmp_path, capsys):
         """The cached validator rejects a document with the same error as

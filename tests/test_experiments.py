@@ -395,6 +395,15 @@ class TestRunners:
         with pytest.raises(ValueError):
             run_scaling(spec)
 
+    def test_sweep_entries_checked(self):
+        for sweep in ((math.inf,), (math.nan,), (2.0, 0.0), (-1.0,)):
+            with pytest.raises(ValueError, match="d_sweep entries must be finite and positive"):
+                default_spec("fig8", trials=2, d_sweep=sweep)
+        with pytest.raises(ValueError, match="na_sweep entries must be >= 1"):
+            default_spec("fig6", trials=2, na_sweep=(2, 0))
+        with pytest.raises(ValueError, match="n_sweep entries must be >= 1"):
+            default_spec("extended_scaling", trials=2, n_sweep=(0, 8, 16, 32))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="path_exponent must be positive"):
             default_spec("extended_scaling", path_exponent=0.0)
