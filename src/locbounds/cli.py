@@ -24,16 +24,17 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .bounds import efim_bounds_all
-from .config import ConfigDoc, ConfigError, load_config, load_pulse_file, validate_output
+from .config import ConfigError, load_config, load_pulse_file, validate_output
 from .experiments import EXPERIMENT_KINDS, default_spec, run_experiment
 from .infogeo import UNLOCALIZABLE, dpeb, speb, to_ellipse
-from .network import agent_efim, build_efim
+from .network import NetworkEfim, agent_efim, build_efim
 from .ranging import (
     SPEED_OF_LIGHT,
     MultipathChannel,
@@ -55,7 +56,10 @@ class _InputError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="locbounds",
         description="Localization error bounds for cooperative wideband networks.",
@@ -113,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "speb":
             return _cmd_speb(args)
@@ -129,16 +133,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
 
 
-def _load_topology(path: str) -> ConfigDoc:
+def _load_network(path: str) -> NetworkEfim:
     doc = load_config(path)
     if doc.topology is None:
         raise _InputError("config has no network section")
-    return doc
+    if not doc.topology.agents:
+        raise _InputError("config network has no agents")
+    return build_efim(doc.topology)
 
 
 def _cmd_speb(args) -> int:
-    doc = _load_topology(args.config)
-    net = build_efim(doc.topology)
+    net = _load_network(args.config)
     if args.agent is not None:
         if args.agent not in net.agent_ids:
             raise _InputError(f"unknown agent {args.agent!r}")
@@ -221,8 +226,7 @@ def _cell(value) -> str:
 
 
 def _cmd_bounds(args) -> int:
-    doc = _load_topology(args.config)
-    net = build_efim(doc.topology)
+    net = _load_network(args.config)
     records = []
     any_unlocalizable = False
     for agent_id, (low, high, _) in efim_bounds_all(net).items():

@@ -5,7 +5,8 @@ lives in one JSON document with an explicit schema version (no environment
 variables). Unknown keys are rejected with their JSON path; syntax errors
 surface with line and column. Links may carry an explicit intensity, a
 (waveform, channel) pair resolved through the ranging module, or a
-path-loss model evaluated at the link distance.
+path-loss model evaluated at the link distance; intensities are resolved
+as arrays, one batched pass per pulse and one for the path-loss links.
 
 Config documents and produced outputs are checked against the published
 schemas by a checker compiled once per schema (``_compile``), which
@@ -37,7 +38,9 @@ from .ranging import (
     RangingLink,
     WaveformModel,
     rii_no_prior,
+    rii_no_prior_batch,
     rii_pathloss,
+    rii_pathloss_batch,
 )
 
 __all__ = [
@@ -273,7 +276,6 @@ def load_config(path: str) -> ConfigDoc:
 def _resolve_network(raw: dict, base_dir: str) -> Topology:
     network = raw["network"]
     nodes = []
-    positions: dict[str, np.ndarray] = {}
     for i, entry in enumerate(network["nodes"]):
         prior = entry.get("prior")
         try:
@@ -289,7 +291,9 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
         except ValueError as exc:
             raise ConfigError(str(exc), location=f"network/nodes/{i}") from exc
         nodes.append(node)
-        positions[node.node_id] = node.eval_position()
+    # a repeated id resolves to its last node here; Topology then rejects it
+    index = {node.node_id: k for k, node in enumerate(nodes)}
+    positions = np.array([node.eval_position() for node in nodes]).reshape(-1, 2)
 
     waveforms: dict[str, WaveformModel] = {}
     for name, wf in raw.get("waveforms", {}).items():
@@ -300,12 +304,7 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
             pulse_path, n0_half=wf.get("n0_half", 1.0), c=wf.get("c", SPEED_OF_LIGHT)
         )
 
-    links = []
-    for i, entry in enumerate(network.get("links", [])):
-        try:
-            links.append(_resolve_link(entry, positions, waveforms))
-        except ValueError as exc:
-            raise ConfigError(str(exc), location=f"network/links/{i}") from exc
+    links = _resolve_links(network.get("links", []), index, positions, waveforms)
     try:
         return Topology(
             nodes=tuple(nodes), links=tuple(links), reciprocal=network.get("reciprocal", False)
@@ -314,47 +313,116 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
         raise ConfigError(str(exc), location="network") from exc
 
 
-def _resolve_link(
-    entry: dict, positions: dict[str, np.ndarray], waveforms: dict[str, WaveformModel]
-) -> RangingLink:
-    """One link entry with its intensity resolved; raises ``ValueError``."""
-    src, dst = entry["from"], entry["to"]
-    if src not in positions or dst not in positions:
-        missing = src if src not in positions else dst
-        raise ValueError(f"unknown node id {missing!r}")
-    distance = entry.get("distance_m")
-    if distance is None:
-        distance = float(np.hypot(*(positions[src] - positions[dst])))
-    if "rii" in entry:
-        rii = float(entry["rii"])
-    elif "waveform" in entry:
-        name = entry["waveform"]
-        if name not in waveforms:
-            raise ValueError(f"unknown waveform {name!r}")
-        channel_raw = entry["channel"]
-        channel = MultipathChannel(
-            delays=np.array(channel_raw["delays_s"], dtype=float),
-            amplitudes=np.array(channel_raw["amplitudes"], dtype=float),
-            los=channel_raw.get("los", True),
-        )
-        rii = rii_no_prior(waveforms[name], channel)
-    else:
-        pl = entry["pathloss"]
-        if distance <= 0.0:
-            raise ValueError("path-loss link needs a positive distance")
-        rii = rii_pathloss(
-            distance,
-            pl["b"],
-            z=pl.get("z", 1.0),
-            r0=pl.get("r0", 0.0),
-            rmax=pl.get("rmax"),
-        )
-    return RangingLink(
-        from_id=src,
-        to_id=dst,
-        rii=rii,
-        phi=entry.get("phi_rad"),
-        distance=entry.get("distance_m"),
+def _resolve_links(
+    entries: list,
+    index: dict[str, int],
+    positions: np.ndarray,
+    waveforms: dict[str, WaveformModel],
+) -> list[RangingLink]:
+    """Link entries with their intensities resolved as arrays: one
+    ``rii_no_prior_batch`` per pulse and one ``rii_pathloss_batch`` for all
+    path-loss links. A batch that raises is resolved again one link at a
+    time by the scalar references, in link order, so a rejected document
+    reports the first faulty link's ``network/links/<i>`` with its own
+    message.
+    """
+    rii = np.zeros(len(entries))
+    channels: dict[int, MultipathChannel] = {}
+    by_pulse: dict[str, list[int]] = {}
+    pathloss: list[int] = []
+    models: list[dict] = []
+    pathloss_nodes: list[int] = []  # receiver, sender of each path-loss link
+    fault = None
+    for i, entry in enumerate(entries):
+        try:
+            src, dst = entry["from"], entry["to"]
+            if src not in index or dst not in index:
+                missing = src if src not in index else dst
+                raise ValueError(f"unknown node id {missing!r}")
+            if "rii" in entry:
+                rii[i] = float(entry["rii"])
+            elif "waveform" in entry:
+                name = entry["waveform"]
+                if name not in waveforms:
+                    raise ValueError(f"unknown waveform {name!r}")
+                channel_raw = entry["channel"]
+                channels[i] = MultipathChannel(
+                    delays=np.array(channel_raw["delays_s"], dtype=float),
+                    amplitudes=np.array(channel_raw["amplitudes"], dtype=float),
+                    los=channel_raw.get("los", True),
+                )
+                by_pulse.setdefault(name, []).append(i)
+            else:
+                pathloss.append(i)
+                models.append(entry["pathloss"])
+                pathloss_nodes += index[src], index[dst]
+        except ValueError as exc:
+            fault = ConfigError(str(exc), location=f"network/links/{i}")
+            entries = entries[:i]
+            break
+
+    one_by_one: set[int] = set()
+    for name, idx in by_pulse.items():
+        try:
+            rii[idx] = rii_no_prior_batch(waveforms[name], [channels[i] for i in idx])
+        except ValueError:
+            one_by_one.update(idx)
+    distance = np.full(len(entries), np.nan)
+    if pathloss:
+        pl = np.array(pathloss)
+        receiver, sender = np.array(pathloss_nodes).reshape(-1, 2).T
+        d = positions[receiver] - positions[sender]
+        distance[pl] = np.hypot(d[:, 0], d[:, 1])
+        for i in pathloss:
+            if "distance_m" in entries[i]:
+                distance[i] = entries[i]["distance_m"]
+        try:
+            rii[pl] = rii_pathloss_batch(
+                distance[pl],
+                [m["b"] for m in models],
+                z=[m.get("z", 1.0) for m in models],
+                r0=[m.get("r0", 0.0) for m in models],
+                rmax=[np.inf if m.get("rmax") is None else m["rmax"] for m in models],
+            )
+        except (ValueError, ArithmeticError):
+            one_by_one.update(pathloss)
+
+    links = []
+    for i, (entry, value) in enumerate(zip(entries, rii.tolist())):
+        try:
+            if i in one_by_one:
+                value = _link_rii(entry, float(distance[i]), waveforms, channels.get(i))
+            links.append(
+                RangingLink(
+                    from_id=entry["from"],
+                    to_id=entry["to"],
+                    rii=value,
+                    phi=entry.get("phi_rad"),
+                    distance=entry.get("distance_m"),
+                )
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc), location=f"network/links/{i}") from exc
+    if fault is not None:
+        raise fault
+    return links
+
+
+def _link_rii(
+    entry: dict,
+    distance: float,
+    waveforms: dict[str, WaveformModel],
+    channel: Optional[MultipathChannel],
+) -> float:
+    """One waveform or path-loss link's intensity from the scalar
+    references; raises that link's own error."""
+    if channel is not None:
+        return rii_no_prior(waveforms[entry["waveform"]], channel)
+    if distance <= 0.0:
+        raise ValueError("path-loss link needs a positive distance")
+    pl = entry["pathloss"]
+    return rii_pathloss(
+        distance, pl["b"], z=pl.get("z", 1.0), r0=pl.get("r0", 0.0), rmax=pl.get("rmax")
     )
 
 

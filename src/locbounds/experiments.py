@@ -30,12 +30,12 @@ compute every node's position from one vectorized evaluation of the
 substreams' first Philox4x64-10 blocks (``_philox_first_block``, Salmon et
 al., SC'11): the same keys and the same bits as one ``substream`` generator
 per node. Link distances and intensities are arrays too; the extended
-draw's intensities come from ``rii_pathloss``, one call per link inside
-the annulus. Repeat runs are byte-identical. Against releases that
-computed the dense intensities one link at a time, positions are
-bit-identical and an intensity may differ by up to 2 ulp: the squared
-distance is now rounded once (d * d) rather than by the platform's
-``pow``.
+draw's intensities come from ``rii_pathloss_batch``, bit for bit the
+values of ``rii_pathloss``. Repeat runs are byte-identical. Against
+releases that computed the dense intensities one link at a time,
+positions are bit-identical and an intensity may differ by up to 2 ulp:
+the squared distance is now rounded once (d * d) rather than by the
+platform's ``pow``.
 
 The Monte Carlo studies (fig6, fig7, fig8, dense and extended scaling)
 run one loop: at every sweep point and trial it draws a network as arrays
@@ -83,7 +83,9 @@ from .infogeo import EllipseForm, speb, speb_blocks
 from .network import NetworkEfim, Node, Topology, assemble_links
 # unused here; perfbench/layertrace.py traces this name as the assembly layer
 from .network import build_efim  # noqa: F401
-from .ranging import RangingLink, rii_pathloss
+from .ranging import RangingLink, rii_pathloss_batch
+# unused here; perfbench/layertrace.py traces this name as the ranging layer
+from .ranging import rii_pathloss  # noqa: F401
 
 __all__ = [
     "ExperimentSpec",
@@ -496,16 +498,10 @@ def _extended_draw(
     positions = np.concatenate([np.zeros((1, 2)), np.stack([r * np.cos(ang), r * np.sin(ang)], 1)])
 
     def rii_of(dist: np.ndarray) -> np.ndarray:
-        z = (k_const * _fading_draws(fading_sigma_db, seed, trial, dist.size)).tolist()
-        inside = (dist > 0.0) & (dist >= r0)
-        if rmax is not None:
-            inside &= dist <= rmax
-        links = np.flatnonzero(inside)
+        z = k_const * _fading_draws(fading_sigma_db, seed, trial, dist.size)
+        links = np.flatnonzero(dist > 0.0)
         rii = np.zeros(dist.size)
-        rii[links] = [
-            rii_pathloss(d, b, z=z[i], r0=r0, rmax=rmax)
-            for i, d in zip(links.tolist(), dist[links].tolist())
-        ]
+        rii[links] = rii_pathloss_batch(dist[links], b, z=z[links], r0=r0, rmax=rmax)
         return rii
 
     return _Draw.full_mesh(positions, 1 + na_extra, rii_of)

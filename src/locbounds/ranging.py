@@ -19,7 +19,10 @@ delay/amplitude parameters:
   user-supplied prior Fisher blocks over (d, kappa) where
   kappa = (b_1, alpha_1, ..., b_L, alpha_L);
 - ``rii_pathloss`` is the parametric model lambda(r) = z / r^(2b) on
-  [r0, rmax] used by the scaling experiments.
+  [r0, rmax] used by the scaling experiments;
+- ``rii_no_prior_batch`` and ``rii_pathloss_batch`` compute the same
+  intensities for many links at once, bit for bit, with the scalar
+  functions as their references.
 
 Unit audit: delays tau are seconds and distances meters, so the scaled
 amplitude coordinate alpha/c makes every entry of the Psi matrix carry 1/s^2
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -59,9 +62,11 @@ __all__ = [
     "path_overlap_chi",
     "first_contiguous_cluster",
     "rii_no_prior",
+    "rii_no_prior_batch",
     "rii_with_channel_prior",
     "known_los_bias_prior",
     "rii_pathloss",
+    "rii_pathloss_batch",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -81,6 +86,14 @@ _MIN_SAMPLES_PER_RMS_WIDTH = 16
 KNOWN_BIAS_INFO_FACTOR = 1e12
 
 _CHI_CLAMP_TOL = 1e-6
+
+# Longest observation window (samples) a link may need.
+_MAX_WINDOW_SAMPLES = 20_000_000
+
+# Most grid samples (links x padded window) ``rii_no_prior_batch`` builds at
+# once: its 2L + 4 working arrays of that size stay under 400 KiB for L = 4,
+# so batching adds no peak memory (larger chunks were no faster).
+_BATCH_SAMPLES = 1 << 12
 
 
 class DegenerateChannelError(ValueError):
@@ -357,7 +370,7 @@ def _observation_grid(w: WaveformModel, ch: MultipathChannel, pad: float) -> np.
     lo = float(ch.delays.min()) + w.times[0] - pad
     hi = float(ch.delays.max()) + w.times[-1] + pad
     n = int(round((hi - lo) / w.dt)) + 1
-    if n > 20_000_000:
+    if n > _MAX_WINDOW_SAMPLES:
         raise ValueError(
             "delay spread places arrivals outside a tractable observation "
             f"window ({n} samples at dt={w.dt})"
@@ -449,6 +462,113 @@ def rii_no_prior(w: WaveformModel, ch: MultipathChannel) -> float:
     return float(psi.array[0, 0]) * (1.0 - chi) / w.c**2
 
 
+def rii_no_prior_batch(w: WaveformModel, channels: Sequence[MultipathChannel]) -> np.ndarray:
+    """``rii_no_prior`` of every channel, bit for bit, in one batched pass.
+
+    Channels are grouped by the size of their first contiguous cluster. A
+    group's observation grids and interpolated features are built together,
+    padded only to the longest grid in a chunk of grids within 2x of each
+    other; each Psi is the Gram product of its link's own unpadded samples,
+    and the overlap coefficients come from batched ``eigvalsh`` and
+    ``solve``, so every value rounds as in ``rii_no_prior``. A channel the
+    batch does not resolve (window over the sample cap, singular
+    information, chi outside [0, 1], a non-finite value) goes through
+    ``rii_no_prior`` itself, so the first failing channel raises exactly
+    what a one-at-a-time loop raises.
+    """
+    rii = np.zeros(len(channels))
+    los = [i for i, ch in enumerate(channels) if ch.los]
+    if not los:
+        return rii
+    sizes = np.array([channels[i].n_paths for i in los])
+    delays = np.concatenate([channels[i].delays for i in los])
+    amps = np.concatenate([channels[i].amplitudes for i in los])
+    starts = np.cumsum(sizes) - sizes
+    # first_contiguous_cluster: arrivals chain while their gap is below the support
+    ends = np.ones(delays.size, dtype=bool)
+    ends[:-1] = ~(np.diff(delays) < w.support_length)
+    ends[starts + sizes - 1] = True
+    ends = np.flatnonzero(ends)
+    keep = ends[np.searchsorted(ends, starts)] - starts + 1
+    # _observation_grid of each cluster
+    pad = 4.0 * w.dt
+    lo = delays[starts] + w.times[0] - pad
+    hi = delays[starts + keep - 1] + w.times[-1] + pad
+    n_grid = np.rint((hi - lo) / w.dt) + 1.0
+
+    n0 = 2.0 * w.n0_half
+    edge, inner = np.sqrt(np.array([0.5 * w.dt, w.dt]) * (2.0 / n0))
+    window_ok = n_grid <= _MAX_WINDOW_SAMPLES  # False for NaN too
+    explain = [los[j] for j in np.flatnonzero(~window_ok)]
+    n_grid = np.where(window_ok, n_grid, 0).astype(np.int64)
+    for size in np.unique(keep).tolist():
+        group = np.flatnonzero((keep == size) & window_ok)
+        group = group[np.argsort(n_grid[group], kind="stable")]
+        lengths = n_grid[group].tolist()
+        psi = np.empty((group.size, 2 * size, 2 * size))
+        first = 0
+        while first < group.size:
+            # a chunk holds grids at most 2x its shortest, and at most _BATCH_SAMPLES samples
+            last = first + 1
+            while (
+                last < group.size
+                and lengths[last] <= 2 * lengths[first]
+                and (last - first + 1) * lengths[last] <= _BATCH_SAMPLES
+            ):
+                last += 1
+            chunk = group[first:last]
+            n_max = lengths[last - 1]
+            t = lo[chunk, None] + w.dt * np.arange(n_max)
+            b = np.empty((chunk.size, 2 * size, n_max))
+            for l in range(size):
+                shifted = t - delays[starts[chunk] + l, None]
+                b[:, 2 * l] = -amps[starts[chunk] + l, None] * w.derivative_at(shifted)
+                b[:, 2 * l + 1] = w.c * w.sample_at(shifted)
+            scale = np.full((chunk.size, n_max), inner)
+            scale[:, 0] = edge
+            scale[np.arange(chunk.size), n_grid[chunk] - 1] = edge
+            b *= scale[:, None, :]
+            for j, n in enumerate(lengths[first:last]):
+                own = b[j, :, :n]
+                np.matmul(own, own.T, out=psi[first + j])
+            first = last
+        psi = 0.5 * (psi + psi.transpose(0, 2, 1))  # PsiMatrix's symmetrization
+        for j, value in zip(group.tolist(), _no_prior_from_psi(psi, w.c)):
+            if value is None:
+                explain.append(los[j])
+            else:
+                rii[los[j]] = value
+    for i in sorted(explain):
+        rii[i] = rii_no_prior(w, channels[i])
+    return rii
+
+
+def _no_prior_from_psi(psi: np.ndarray, c: float) -> list[Optional[float]]:
+    """``rii_no_prior``'s reduction of a stack of LOS Psi matrices, each as
+    ``path_overlap_chi`` computes it; None where that raises or a value is
+    not finite."""
+    out: list[Optional[float]] = [None] * psi.shape[0]
+    u2 = psi[:, 0, 0].tolist()
+    ok = np.flatnonzero(np.isfinite(psi).all(axis=(1, 2)) & (psi[:, 0, 0] > 0.0))
+    rest = psi[ok, 1:, 1:]
+    try:
+        eigs = np.linalg.eigvalsh(rest)
+        regular = eigs[:, 0] > 1e-13 * np.maximum(eigs[:, -1], 0.0)
+        x = np.linalg.solve(rest[regular], psi[ok[regular], 1:, :1])[..., 0]
+    except np.linalg.LinAlgError:
+        return out
+    c2 = c**2
+    for j, x_j in zip(ok[regular].tolist(), x):
+        # psi[j, 1:, 0] is strided as path_overlap_chi's k, so the dot rounds alike
+        chi = float(psi[j, 1:, 0] @ x_j) / u2[j]
+        if not -_CHI_CLAMP_TOL <= chi <= 1.0 + _CHI_CLAMP_TOL:
+            continue
+        value = u2[j] * (1.0 - min(max(chi, 0.0), 1.0)) / c2
+        if math.isfinite(value):
+            out[j] = value
+    return out
+
+
 def rii_with_channel_prior(psi: PsiMatrix, prior: ChannelPriorBlocks) -> float:
     """Ranging information intensity with prior channel knowledge (1/m^2).
 
@@ -522,3 +642,39 @@ def rii_pathloss(
     if rmax is not None and d > rmax:
         return 0.0
     return z / d ** (2.0 * b)
+
+
+def rii_pathloss_batch(d, b, z=1.0, r0=0.0, rmax=None) -> np.ndarray:
+    """``rii_pathloss`` element by element, bit for bit.
+
+    ``b``, ``z``, ``r0`` and ``rmax`` are scalars or arrays shaped like the
+    distances ``d``; ``rmax`` None or infinite skips the outer cutoff. The
+    annulus and argument checks run on arrays, but the power runs through
+    Python's float ``pow`` (the C library's) one element at a time:
+    ``np.power`` rounds differently on about 5% of inputs (0.08% for
+    exponent 2.0). When an element fails (a check, or a power that
+    overflows or underflows to zero), ``rii_pathloss`` runs on every
+    element, so the first failing one raises exactly what a one-at-a-time
+    loop raises.
+    """
+    d = np.asarray(d, dtype=float)
+    b, z, r0, rmax = (
+        np.broadcast_to(np.asarray(v, dtype=float), d.shape)
+        for v in (b, z, r0, np.inf if rmax is None else rmax)
+    )
+    rii = np.zeros(d.shape)
+    invalid = (d <= 0.0) | (b <= 0.0) | (z < 0.0)
+    inside = np.flatnonzero(~(invalid | (d < r0) | (d > rmax)))
+    try:
+        power = np.fromiter(
+            map(pow, d.flat[inside].tolist(), (2.0 * b.flat[inside]).tolist()),
+            dtype=float,
+            count=inside.size,
+        )
+    except OverflowError:
+        power = None
+    if invalid.any() or power is None or not power.all():
+        args = (v.ravel().tolist() for v in (d, b, z, r0, rmax))
+        return np.reshape([rii_pathloss(*a) for a in zip(*args)], d.shape)
+    rii.flat[inside] = z.flat[inside] / power
+    return rii

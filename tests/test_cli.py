@@ -18,7 +18,15 @@ from locbounds.config import (
     load_schema,
     validate_output,
 )
-from locbounds.ranging import gaussian_pulse
+from locbounds import ranging
+from locbounds.ranging import (
+    MultipathChannel,
+    WaveformModel,
+    _observation_grid,
+    first_contiguous_cluster,
+    gaussian_pulse,
+    rii_no_prior,
+)
 
 
 TOY_CONFIG = {
@@ -118,6 +126,28 @@ class TestSpebCommand:
         header = capsys.readouterr().out.splitlines()[0]
         assert header.count("dpeb_m2@") == 3
 
+    def test_calls_share_no_parsed_state(self, tmp_path, capsys):
+        """The parser is built once per process; the ``--dpeb-deg`` list of
+        one call does not reach the next."""
+        path = write_config(tmp_path, TOY_CONFIG)
+        for extra, columns in ((["--dpeb-deg", "45", "--dpeb-deg", "30"], 4), ([], 2), ([], 2)):
+            assert main(["speb", path, *extra]) == 0
+            assert capsys.readouterr().out.splitlines()[0].count("dpeb_m2@") == columns
+        assert main(["bounds", path]) == 0
+        assert capsys.readouterr().out.startswith("id,localizable,speb_m2,speb_lower_m2")
+
+    @pytest.mark.parametrize("command", ["speb", "bounds"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_network_without_agents_exit_one(self, tmp_path, capsys, command, fmt):
+        doc = {
+            "version": 1,
+            "network": {"nodes": [{"id": "A", "kind": "anchor", "position": [0, 0]}]},
+        }
+        assert main([command, write_config(tmp_path, doc), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config network has no agents\n"
+
     def test_parse_error_reports_line_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1,\n  "network": }\n')
@@ -174,6 +204,68 @@ _REJECTED_NETWORKS = {
         "network/links/0: distance override must be finite and positive",
     ),
 }
+
+
+# Link faults the batched resolution must report at their own link, each
+# with its message: (link entry, message at the start of the error).
+_LINK_FAULTS = {
+    "degenerate_channel": (
+        {"from": "u", "to": "A", "waveform": "w",
+         "channel": {"delays_s": [1e-8, 1e-8], "amplitudes": [1.0, 0.5]}},
+        "channel Fisher information is singular (coincident or indistinguishable paths)",
+    ),
+    "unknown_node": ({"from": "u", "to": "Z", "rii": 1.0}, "unknown node id 'Z'"),
+    "unknown_waveform": (
+        {"from": "u", "to": "A", "waveform": "nope",
+         "channel": {"delays_s": [1e-8], "amplitudes": [1.0]}},
+        "unknown waveform 'nope'",
+    ),
+    "nonmonotone_delays": (
+        {"from": "u", "to": "A", "waveform": "w",
+         "channel": {"delays_s": [2e-8, 1e-8], "amplitudes": [1.0, 0.5]}},
+        "delays must be nondecreasing",
+    ),
+    "zero_distance": (
+        {"from": "u", "to": "C", "pathloss": {"b": 1.0}},
+        "path-loss link needs a positive distance",
+    ),
+    "long_window": (
+        {"from": "u", "to": "A", "waveform": "w",
+         "channel": {"delays_s": [1e-8, 1.7e-8, 2.4e-8, 3.1e-8], "amplitudes": [1, 0.5, 0.4, 0.3]}},
+        "delay spread places arrivals outside a tractable observation window (",
+    ),
+}
+_LONG_CHANNEL = _LINK_FAULTS["long_window"][0]["channel"]
+
+
+def _fault_document(faults):
+    """Two agents, two anchors (C on top of agent u) and ordinary waveform
+    and path-loss links, with ``faults`` at links 2, 4, ..."""
+    ordinary = [
+        {"from": "u", "to": "A", "waveform": "w",
+         "channel": {"delays_s": [1e-8, 1.5e-8, 5e-8], "amplitudes": [1.0, 0.5, 0.3]}},
+        {"from": "v", "to": "A", "pathloss": {"b": 1.0, "r0": 0.5}},
+        {"from": "v", "to": "B", "waveform": "w",
+         "channel": {"delays_s": [2e-8], "amplitudes": [0.7]}},
+        {"from": "u", "to": "v", "pathloss": {"b": 1.5, "z": 2.0}},
+    ]
+    links = ordinary[:2]
+    for k, fault in enumerate(faults):
+        links += [fault, ordinary[2 + k % 2]]
+    return {
+        "version": 1,
+        "network": {
+            "nodes": [
+                {"id": "u", "kind": "agent", "position": [0.0, 0.0]},
+                {"id": "v", "kind": "agent", "position": [3.0, 1.0]},
+                {"id": "A", "kind": "anchor", "position": [5.0, 0.0]},
+                {"id": "B", "kind": "anchor", "position": [0.0, 5.0]},
+                {"id": "C", "kind": "anchor", "position": [0.0, 0.0]},
+            ],
+            "links": links,
+        },
+        "waveforms": {"w": {"pulse_file": "pulse.txt"}},
+    }
 
 
 class TestBoundsCommand:
@@ -518,6 +610,68 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("error: experiment: d_sweep entries must be finite and positive")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(a, b) for a in sorted(_LINK_FAULTS) for b in sorted(_LINK_FAULTS) if a != b],
+    )
+    def test_first_faulty_link_is_reported(self, tmp_path, capsys, monkeypatch, first, second):
+        """Links resolve in batches, but a document with two faulty links
+        reports the first one's path and message, whichever the faults."""
+        monkeypatch.setattr(ranging, "_MAX_WINDOW_SAMPLES", 1000)  # below the long channel's
+        write_pulse(tmp_path)
+        doc = _fault_document([_LINK_FAULTS[first][0], _LINK_FAULTS[second][0]])
+        assert main(["speb", write_config(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: network/links/2: {_LINK_FAULTS[first][1]}")
+
+    def test_long_window_pads_no_link_beyond_twice_its_grid(self, tmp_path, monkeypatch):
+        """A long observation window does not widen its neighbours' grids:
+        each link is padded at most to twice its own grid length, and every
+        intensity is the scalar reference's."""
+        shapes = []
+        derivative_at = WaveformModel.derivative_at
+
+        def recording(self, t):
+            shapes.append(t.shape)
+            return derivative_at(self, t)
+
+        write_pulse(tmp_path)
+        w = load_pulse_file(str(tmp_path / "pulse.txt"))
+        doc = _fault_document([])
+        links = doc["network"]["links"]
+        links[:] = [link for link in links if "waveform" in link]
+        for gap_s in (0.3e-9, 0.4e-9):
+            channel = {"delays_s": [1e-8 + k * gap_s for k in range(4)],
+                       "amplitudes": [1, 0.5, 0.3, 0.2]}
+            links.append(dict(links[0], channel=channel))
+        links.append(dict(links[0], channel=_LONG_CHANNEL))
+        channels = [
+            MultipathChannel(link["channel"]["delays_s"], link["channel"]["amplitudes"])
+            for link in links
+        ]
+        monkeypatch.setattr(WaveformModel, "derivative_at", recording)
+        topology = load_config(write_config(tmp_path, doc)).topology
+        monkeypatch.undo()
+
+        want = [rii_no_prior(w, ch) for ch in channels]
+        assert [link.rii for link in topology.links] == want
+        # the batch visits each cluster size's grids in increasing length,
+        # one chunk at a time, calling derivative_at once per path
+        clusters = [first_contiguous_cluster(w, ch) for ch in channels]
+        own = sorted((c.n_paths, _observation_grid(w, c, 4.0 * w.dt).size) for c in clusters)
+        assert own[-1] == (4, max(n for _, n in own))
+        assert (1, own[-1][1]) in shapes  # the long window is a chunk of its own
+        at = 0
+        while shapes:
+            size, chunk = own[at][0], own[at : at + shapes[0][0]]
+            assert shapes[:size] == [shapes[0]] * size
+            assert {s for s, _ in chunk} == {size}
+            assert shapes[0][1] == chunk[-1][1] <= 2 * chunk[0][1]
+            at += len(chunk)
+            del shapes[:size]
+        assert at == len(own)
 
     def test_import_leaves_jsonschema_and_scipy_stats_unloaded(self):
         """Both cost start-up time and are needed only to explain a rejected
