@@ -5,8 +5,10 @@ lives in one JSON document with an explicit schema version (no environment
 variables). Unknown keys are rejected with their JSON path; syntax errors
 surface with line and column. Links may carry an explicit intensity, a
 (waveform, channel) pair resolved through the ranging module, or a
-path-loss model evaluated at the link distance; intensities are resolved
-as arrays, one batched pass per pulse and one for the path-loss links.
+path-loss model evaluated at the link distance, read by the schema branch
+they match; intensities are resolved as arrays, one batched pass per
+pulse and one for the path-loss links, and the links go to
+``Topology.from_arrays`` as arrays, with no per-link object.
 
 Config documents and produced outputs are checked against the published
 schemas by a checker compiled once per schema (``_compile``), which
@@ -21,6 +23,7 @@ header line, uniform sample spacing.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -31,11 +34,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .experiments import ExperimentSpec, default_spec
-from .network import Node, Topology
+from .network import Node, Topology, first_link_fault
 from .ranging import (
     SPEED_OF_LIGHT,
     MultipathChannel,
-    RangingLink,
     WaveformModel,
     rii_no_prior,
     rii_no_prior_batch,
@@ -306,10 +308,10 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
 
     links = _resolve_links(network.get("links", []), index, positions, waveforms)
     try:
-        return Topology(
-            nodes=tuple(nodes), links=tuple(links), reciprocal=network.get("reciprocal", False)
+        return Topology.from_arrays(
+            tuple(nodes), *links, reciprocal=network.get("reciprocal", False)
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc), location="network") from exc
 
 
@@ -318,30 +320,32 @@ def _resolve_links(
     index: dict[str, int],
     positions: np.ndarray,
     waveforms: dict[str, WaveformModel],
-) -> list[RangingLink]:
-    """Link entries with their intensities resolved as arrays: one
-    ``rii_no_prior_batch`` per pulse and one ``rii_pathloss_batch`` for all
-    path-loss links. A batch that raises is resolved again one link at a
-    time by the scalar references, in link order, so a rejected document
-    reports the first faulty link's ``network/links/<i>`` with its own
-    message.
+) -> tuple[np.ndarray, ...]:
+    """Link entries as the arrays ``Topology.from_arrays`` takes, with
+    their intensities resolved as arrays: one ``rii_no_prior_batch`` per
+    pulse and one ``rii_pathloss_batch`` for all path-loss links. A batch
+    that raises is resolved again one link at a time by the scalar
+    references, in link order, so a rejected document reports the first
+    faulty link's ``network/links/<i>`` with its own message; a link's
+    entry is checked first, then its intensity, then ``RangingLink``'s
+    checks (``first_link_fault``).
     """
+    ends: list[tuple[int, int]] = []
     rii = np.zeros(len(entries))
     channels: dict[int, MultipathChannel] = {}
     by_pulse: dict[str, list[int]] = {}
     pathloss: list[int] = []
     models: list[dict] = []
-    pathloss_nodes: list[int] = []  # receiver, sender of each path-loss link
     fault = None
     for i, entry in enumerate(entries):
         try:
-            src, dst = entry["from"], entry["to"]
-            if src not in index or dst not in index:
-                missing = src if src not in index else dst
-                raise ValueError(f"unknown node id {missing!r}")
+            for node_id in (entry["from"], entry["to"]):
+                if node_id not in index:
+                    raise ValueError(f"unknown node id {node_id!r}")
+            # the schema's branches: rii, else waveform with channel, else path loss
             if "rii" in entry:
                 rii[i] = float(entry["rii"])
-            elif "waveform" in entry:
+            elif "waveform" in entry and "channel" in entry:
                 name = entry["waveform"]
                 if name not in waveforms:
                     raise ValueError(f"unknown waveform {name!r}")
@@ -355,11 +359,13 @@ def _resolve_links(
             else:
                 pathloss.append(i)
                 models.append(entry["pathloss"])
-                pathloss_nodes += index[src], index[dst]
         except ValueError as exc:
             fault = ConfigError(str(exc), location=f"network/links/{i}")
-            entries = entries[:i]
             break
+        ends.append((index[entry["from"]], index[entry["to"]]))
+    count = len(ends)
+    src, dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    rii = rii[:count]
 
     one_by_one: set[int] = set()
     for name, idx in by_pulse.items():
@@ -367,42 +373,39 @@ def _resolve_links(
             rii[idx] = rii_no_prior_batch(waveforms[name], [channels[i] for i in idx])
         except ValueError:
             one_by_one.update(idx)
-    distance = np.full(len(entries), np.nan)
+    distance = np.full(count, np.nan)  # of the path-loss links, as given or from positions
     if pathloss:
-        pl = np.array(pathloss)
-        receiver, sender = np.array(pathloss_nodes).reshape(-1, 2).T
-        d = positions[receiver] - positions[sender]
-        distance[pl] = np.hypot(d[:, 0], d[:, 1])
-        for i in pathloss:
-            if "distance_m" in entries[i]:
-                distance[i] = entries[i]["distance_m"]
+        d = positions[src[pathloss]] - positions[dst[pathloss]]
+        distance[pathloss] = np.hypot(d[:, 0], d[:, 1])
+        given = [i for i in pathloss if "distance_m" in entries[i]]
+        distance[given] = [entries[i]["distance_m"] for i in given]
         try:
-            rii[pl] = rii_pathloss_batch(
-                distance[pl],
+            rii[pathloss] = rii_pathloss_batch(
+                distance[pathloss],
                 [m["b"] for m in models],
                 z=[m.get("z", 1.0) for m in models],
                 r0=[m.get("r0", 0.0) for m in models],
                 rmax=[np.inf if m.get("rmax") is None else m["rmax"] for m in models],
             )
-        except (ValueError, ArithmeticError):
+        except ValueError:
             one_by_one.update(pathloss)
-
-    links = []
-    for i, (entry, value) in enumerate(zip(entries, rii.tolist())):
+    for i in sorted(one_by_one):
         try:
-            if i in one_by_one:
-                value = _link_rii(entry, float(distance[i]), waveforms, channels.get(i))
-            links.append(
-                RangingLink(
-                    from_id=entry["from"],
-                    to_id=entry["to"],
-                    rii=value,
-                    phi=entry.get("phi_rad"),
-                    distance=entry.get("distance_m"),
-                )
-            )
+            rii[i] = _link_rii(entries[i], float(distance[i]), waveforms, channels.get(i))
         except ValueError as exc:
-            raise ConfigError(str(exc), location=f"network/links/{i}") from exc
+            fault = ConfigError(str(exc), location=f"network/links/{i}")
+            count = i
+            break
+
+    # an override is NaN where none is given, so a given NaN, not finite either, is held as inf
+    overrides = (
+        [math.inf if v != v else v for v in (entry.get(key) for entry in entries[: len(ends)])]
+        for key in ("phi_rad", "distance_m")
+    )
+    links = (src, dst, rii, *(np.array(v, dtype=float) for v in overrides))
+    first = first_link_fault(*(a[:count] for a in links))
+    if first is not None:
+        raise ConfigError(first[1], location=f"network/links/{first[0]}")
     if fault is not None:
         raise fault
     return links

@@ -39,8 +39,8 @@ platform's ``pow``.
 
 The Monte Carlo studies (fig6, fig7, fig8, dense and extended scaling)
 run one loop: at every sweep point and trial it draws a network as arrays
-(``_dense_draw`` or ``_extended_draw``, which ``gen_dense`` and
-``gen_extended`` turn into a ``Topology``), assembles its EFIM with
+(``_dense_draw`` or ``_extended_draw``, whose arrays ``gen_dense`` and
+``gen_extended`` hand to ``Topology.from_arrays``), assembles its EFIM with
 ``network.assemble_links``, the routine behind ``build_efim``, and takes
 the per-agent measures the kind needs (exact cooperative or anchors-only
 SPEB, or the closed-form bounds of ``efim_bounds_all``); each measure is
@@ -83,7 +83,7 @@ from .infogeo import EllipseForm, speb, speb_blocks
 from .network import NetworkEfim, Node, Topology, assemble_links
 # unused here; perfbench/layertrace.py traces this name as the assembly layer
 from .network import build_efim  # noqa: F401
-from .ranging import RangingLink, rii_pathloss_batch
+from .ranging import rii_pathloss_batch
 # unused here; perfbench/layertrace.py traces this name as the ranging layer
 from .ranging import rii_pathloss  # noqa: F401
 
@@ -343,11 +343,7 @@ class _Draw(NamedTuple):
             Node(node_id, "agent" if k < self.n_agents else "anchor", p)
             for k, (node_id, p) in enumerate(zip(ids, self.positions))
         )
-        links = tuple(
-            RangingLink(from_id=ids[i], to_id=ids[j], rii=rii)
-            for i, j, rii in zip(self.src.tolist(), self.dst.tolist(), self.rii.tolist())
-        )
-        return Topology(nodes=nodes, links=links)
+        return Topology.from_arrays(nodes, self.src, self.dst, self.rii)
 
     def efim(self) -> NetworkEfim:
         """The draw's network information; equals ``build_efim(self.topology())``."""

@@ -26,13 +26,16 @@ agent ranging against itself over time; ``anchor_equivalence_check``
 verifies numerically that an agent with a huge position prior behaves like
 an anchor once reduced out.
 
-``build_efim`` turns a topology's links into index, intensity and bearing
-arrays once (bearings from the evaluation positions unless a link
-overrides them); ``assemble_links`` scatters the rank-one contributions of
-such arrays into the blocks with ``np.add.at``, and no per-link 2x2
-objects are built. The Monte Carlo studies draw their networks as arrays
-and call ``assemble_links`` directly; ``join`` calls it on the newcomer's
-links alone.
+A ``Topology`` holds its links as arrays (node indices, intensities,
+bearing and distance overrides), validated once as arrays, whether they
+come from ``RangingLink``s or straight from the config loader and the
+generators; ``links`` reads them back as objects. ``build_efim`` is
+``assemble_links`` on those arrays plus the priors: it scatters the
+rank-one contributions into the blocks with ``np.add.at``, and no
+per-link object is built. The Monte Carlo studies draw their networks as
+arrays and call ``assemble_links`` directly; ``join`` appends the
+newcomer's links to the arrays and scatters only those, and ``leave``
+masks the arrays.
 
 ``Topology`` and ``NetworkEfim`` are immutable snapshots; updates return new
 values, so concurrent readers are safe.
@@ -129,50 +132,141 @@ class Node:
         return self.position
 
 
-@dataclass(frozen=True)
+# a topology's link arrays, in ``Topology.from_arrays``'s order
+_LINK_FIELDS = ("src", "dst", "rii", "phi", "distance")
+
+
+def first_link_fault(src, dst, rii, phi, distance) -> Optional[tuple[int, str]]:
+    """(index, message) of the first link that fails ``RangingLink``'s
+    checks, in its order, run on link arrays with NaN for no override;
+    None if every link passes."""
+    checks = (
+        (src == dst, "a node cannot range against itself"),
+        (~(np.isfinite(rii) & (rii >= 0.0)), "rii must be finite and nonnegative"),
+        (np.isinf(phi), "phi override must be finite"),
+        (np.isinf(distance) | (distance <= 0.0), "distance override must be finite and positive"),
+    )
+    fails = np.array([mask for mask, _ in checks]).reshape(len(checks), -1)
+    at = np.flatnonzero(fails.any(axis=0))
+    if not at.size:
+        return None
+    return int(at[0]), checks[int(np.argmax(fails[:, at[0]]))][1]
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Topology:
     """Immutable network snapshot: nodes plus directed ranging links.
 
     A link (k <- j) means node k received a ranging waveform from node j;
     absent links mean no communication. Receivers must be agents. With
     ``reciprocal=True`` a single direction per agent pair implies the
-    reverse at equal intensity (and both directions, if given, must agree).
+    reverse at equal intensity (and both directions, if given, must agree;
+    of a direction given twice, the last counts).
+
+    The links are arrays: receiver and transmitter node indices
+    ``src``/``dst``, intensities ``rii``, and ``phi``/``distance``
+    overrides, NaN where the positions give the value. ``Topology(nodes,
+    links)`` converts ``RangingLink``s once, ``from_arrays`` takes the
+    arrays, and ``links`` reads them back as ``RangingLink``s. Either way
+    the links are validated once, as arrays, with ``RangingLink``'s
+    messages.
     """
 
     nodes: tuple[Node, ...]
-    links: tuple[RangingLink, ...]
-    reciprocal: bool = False
+    src: np.ndarray
+    dst: np.ndarray
+    rii: np.ndarray
+    phi: np.ndarray
+    distance: np.ndarray
+    reciprocal: bool
 
-    def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        links = tuple(self.links)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "links", links)
-        ids = [n.node_id for n in nodes]
+    def __init__(
+        self, nodes: Sequence[Node], links: Iterable[RangingLink], reciprocal: bool = False
+    ) -> None:
+        nodes, links = tuple(nodes), tuple(links)
+        slot = {node.node_id: i for i, node in enumerate(nodes)}
+        try:
+            ends = [(slot[link.from_id], slot[link.to_id]) for link in links]
+        except KeyError as exc:
+            raise ValueError(f"unknown node id {exc.args[0]!r} in link") from None
+        values = [(link.rii, link.phi, link.distance) for link in links]  # None is NaN
+        ends = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+        self._setup(nodes, *ends, *np.array(values, dtype=float).reshape(-1, 3).T, reciprocal)
+
+    @classmethod
+    def from_arrays(cls, nodes, src, dst, rii, phi=None, distance=None, reciprocal=False):
+        """The topology of links given as arrays; overrides are NaN, or
+        None for all, where there is none."""
+        topo = cls.__new__(cls)
+        none = np.full(len(rii), np.nan)
+        phi, distance = (none if v is None else v for v in (phi, distance))
+        topo._setup(nodes, src, dst, rii, phi, distance, reciprocal)
+        return topo
+
+    def _setup(self, nodes, src, dst, rii, phi, distance, reciprocal) -> None:
+        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "reciprocal", bool(reciprocal))
+        for name, values in zip(_LINK_FIELDS, (src, dst, rii, phi, distance)):
+            arr = np.array(values, dtype=np.intp if name in ("src", "dst") else float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        ids = [n.node_id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("node ids must be unique")
-        by_id = {n.node_id: n for n in nodes}
-        for link in links:
-            if link.from_id not in by_id:
-                raise ValueError(f"unknown node id {link.from_id!r} in link")
-            if link.to_id not in by_id:
-                raise ValueError(f"unknown node id {link.to_id!r} in link")
-            if not by_id[link.from_id].is_agent:
-                raise ValueError(
-                    f"link receiver {link.from_id!r} is an anchor; only agents receive"
-                )
-        if self.reciprocal:
-            seen: dict[tuple[str, str], float] = {}
-            for link in links:
-                a, b = by_id[link.from_id], by_id[link.to_id]
-                if a.is_agent and b.is_agent:
-                    seen[(link.from_id, link.to_id)] = link.rii
-            for (k, m), lam in seen.items():
-                rev = seen.get((m, k))
-                if rev is not None and not math.isclose(rev, lam, rel_tol=1e-9, abs_tol=0.0):
-                    raise ValueError(
-                        f"reciprocal topology but links {k}<->{m} carry different intensities"
-                    )
+        fault = first_link_fault(*self._link_arrays)
+        if fault is not None:
+            raise ValueError(fault[1])
+        anchor = self.src[~self._is_agent[self.src]]
+        if anchor.size:
+            raise ValueError(f"link receiver {ids[anchor[0]]!r} is an anchor; only agents receive")
+        if not self.reciprocal:
+            return
+        # the last intensity of each agent-agent direction, directions in link order
+        coop = self._is_agent[self.src] & self._is_agent[self.dst]
+        key = self.src[coop] * len(ids) + self.dst[coop]
+        pairs, first = np.unique(key, return_index=True)
+        _, from_end = np.unique(key[::-1], return_index=True)
+        lam = self.rii[coop][key.size - 1 - from_end]
+        reverse = pairs % len(ids) * len(ids) + pairs // len(ids)
+        at = np.searchsorted(pairs, reverse).clip(max=pairs.size - 1)
+        # math.isclose(rel_tol=1e-9) fails, where the reverse direction is given
+        bad = (pairs[at] == reverse) & (
+            np.abs(lam[at] - lam) > 1e-9 * np.maximum(np.abs(lam[at]), np.abs(lam))
+        )
+        if bad.any():
+            k, m = divmod(int(pairs[bad][np.argmin(first[bad])]), len(ids))
+            raise ValueError(
+                f"reciprocal topology but links {ids[k]}<->{ids[m]} carry different intensities"
+            )
+
+    @property
+    def _link_arrays(self) -> tuple[np.ndarray, ...]:
+        """The link arrays in ``from_arrays``'s order."""
+        return tuple(getattr(self, name) for name in _LINK_FIELDS)
+
+    @cached_property
+    def links(self) -> tuple[RangingLink, ...]:
+        """The links as ``RangingLink``s, built on first access."""
+        ids = [n.node_id for n in self.nodes]
+        given = lambda v: None if math.isnan(v) else v  # noqa: E731
+        return tuple(
+            RangingLink(ids[k], ids[j], lam, given(phi), given(dist))
+            for k, j, lam, phi, dist in zip(*(a.tolist() for a in self._link_arrays))
+        )
+
+    @cached_property
+    def _is_agent(self) -> np.ndarray:
+        return np.array([n.is_agent for n in self.nodes], dtype=bool)
+
+    @cached_property
+    def _agent_of(self) -> np.ndarray:
+        """Each node's agent index, -1 for anchors."""
+        return np.where(self._is_agent, np.cumsum(self._is_agent) - 1, -1)
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """Each node's evaluation position, an (n_nodes, 2) array."""
+        return np.array([node.eval_position() for node in self.nodes]).reshape(-1, 2)
 
     @cached_property
     def _by_id(self) -> Mapping[str, Node]:
@@ -388,26 +482,6 @@ def _drop_singular(blocks: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _link_arrays(topo: Topology, agent_index: Mapping[str, int]):
-    """A topology's links as arrays: each node's evaluation position and
-    agent index (-1 for anchors), and per link the receiver and transmitter
-    node index, the intensity and the bearing override (NaN where the
-    bearing comes from the positions)."""
-    links = topo.links
-    count = len(links)
-    slot = {node.node_id: i for i, node in enumerate(topo.nodes)}
-    pos = np.array([node.eval_position() for node in topo.nodes])
-    src = np.fromiter((slot[l.from_id] for l in links), dtype=np.intp, count=count)
-    dst = np.fromiter((slot[l.to_id] for l in links), dtype=np.intp, count=count)
-    rii = np.fromiter((l.rii for l in links), dtype=float, count=count)
-    # overrides are finite (RangingLink checks), so NaN marks "from positions"
-    phi = np.fromiter(
-        (math.nan if l.phi is None else l.phi for l in links), dtype=float, count=count
-    )
-    agent_of = np.array([agent_index.get(node.node_id, -1) for node in topo.nodes])
-    return agent_of, pos, src, dst, rii, phi
-
-
 def _blocks(mat: np.ndarray) -> np.ndarray:
     """(n, n, 2, 2) view of a (2n, 2n) matrix; writes go through to ``mat``."""
     n = mat.shape[0] // 2
@@ -434,8 +508,6 @@ def assemble_links(
     ``np.add.at`` in link order; ``reciprocal`` is ``Topology``'s.
     """
     k, m = agent_of[src], agent_of[dst]
-    if np.any(k < 0):
-        raise ValueError("link receivers must be agents")
     d = pos[src] - pos[dst]
     bearing = np.arctan2(d[:, 1], d[:, 0])
     if phi is not None:
@@ -477,16 +549,17 @@ def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> Ne
     the block diagonal of ``xi_p``; a full PSD matrix may be supplied
     instead for correlated priors.
 
-    The links are turned into arrays once and assembled by
-    ``assemble_links``.
+    The topology's link arrays are assembled by ``assemble_links``.
     """
     agents = topo.agents
     if not agents:
         raise ValueError("topology has no agents")
     ids = tuple(n.node_id for n in agents)
-    index = {node_id: k for k, node_id in enumerate(ids)}
     n = 2 * len(ids)
-    j_a, j_c = assemble_links(*_link_arrays(topo, index), reciprocal=topo.reciprocal)
+    j_a, j_c = assemble_links(
+        topo._agent_of, topo._positions, topo.src, topo.dst, topo.rii, topo.phi,
+        reciprocal=topo.reciprocal,
+    )
 
     if xi_p_override is not None:
         xi_p = np.array(xi_p_override, dtype=float)
@@ -528,26 +601,25 @@ def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> Net
         raise ValueError("join requires a NetworkEfim built from a topology")
     if not new_agent.is_agent:
         raise ValueError("only agents can join; anchors are static topology")
-    if new_agent.node_id in {n.node_id for n in net.topology.nodes}:
+    topo = net.topology
+    if new_agent.node_id in topo._by_id:
         raise ValueError(f"duplicate node id {new_agent.node_id!r}")
     links = tuple(links)
-    for link in links:
-        if new_agent.node_id not in (link.from_id, link.to_id):
-            raise ValueError("join links must involve the joining agent")
+    if any(new_agent.node_id not in (link.from_id, link.to_id) for link in links):
+        raise ValueError("join links must involve the joining agent")
 
-    topo = net.topology
-    new_topo = Topology(
-        nodes=topo.nodes + (new_agent,),
-        links=topo.links + links,
+    nodes = topo.nodes + (new_agent,)
+    added = Topology(nodes, links)
+    new_topo = Topology.from_arrays(
+        nodes,
+        *map(np.concatenate, zip(topo._link_arrays, added._link_arrays)),
         reciprocal=topo.reciprocal,
     )
-
-    ids = net.agent_ids + (new_agent.node_id,)
-    index = {node_id: k for k, node_id in enumerate(ids)}
     # every agent pair in ``links`` holds the newcomer, so both directions of
     # a pair are among them and the reciprocal rule needs no other link
     j_a, j_c = assemble_links(
-        *_link_arrays(replace(new_topo, links=links), index), reciprocal=topo.reciprocal
+        new_topo._agent_of, new_topo._positions, added.src, added.dst, added.rii, added.phi,
+        reciprocal=topo.reciprocal,
     )
     n_old = 2 * net.n_agents
     j_a[:n_old, :n_old] += net.j_a
@@ -557,6 +629,7 @@ def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> Net
     if new_agent.prior_info is not None:
         xi_p[n_old:, n_old:] = new_agent.prior_info
 
+    ids = net.agent_ids + (new_agent.node_id,)
     return NetworkEfim(agent_ids=ids, j_a=j_a, j_c=j_c, xi_p=xi_p, topology=new_topo)
 
 
@@ -564,20 +637,21 @@ def leave(net: NetworkEfim, agent_id: str) -> NetworkEfim:
     """Remove an agent: delete its blocks and subtract its pair blocks from
     the surviving diagonal; equals batch re-assembly of the reduced topology."""
     k = net.index(agent_id)
-    keep = [i for i in range(net.n_agents) if i != k]
-    idx = np.array([j for i in keep for j in (2 * i, 2 * i + 1)], dtype=int)
-
-    j_c = net.j_c[np.ix_(idx, idx)].copy()
-    for new_pos, old_i in enumerate(keep):
-        c_block = -net.j_c[2 * old_i : 2 * old_i + 2, 2 * k : 2 * k + 2]
-        j_c[2 * new_pos : 2 * new_pos + 2, 2 * new_pos : 2 * new_pos + 2] -= c_block
+    idx = np.delete(np.arange(2 * net.n_agents), [2 * k, 2 * k + 1])
+    j_c = net.j_c[np.ix_(idx, idx)]
+    stay = np.arange(net.n_agents - 1)
+    _blocks(j_c)[stay, stay] += _blocks(net.j_c)[np.delete(np.arange(net.n_agents), k), k]
 
     new_topo = None
     if net.topology is not None:
         topo = net.topology
-        new_topo = Topology(
-            nodes=tuple(n for n in topo.nodes if n.node_id != agent_id),
-            links=tuple(l for l in topo.links if agent_id not in (l.from_id, l.to_id)),
+        gone = [n.node_id for n in topo.nodes].index(agent_id)
+        src, dst, *rest = (a[(topo.src != gone) & (topo.dst != gone)] for a in topo._link_arrays)
+        new_topo = Topology.from_arrays(
+            topo.nodes[:gone] + topo.nodes[gone + 1 :],
+            src - (src > gone),
+            dst - (dst > gone),
+            *rest,
             reciprocal=topo.reciprocal,
         )
 
@@ -682,14 +756,14 @@ def anchor_equivalence_check(topo: Topology, agent_id: str, t2: float) -> float:
     node = topo.node(agent_id)
     if not node.is_agent:
         raise ValueError(f"{agent_id!r} must be an agent")
-    prior_topo = Topology(
-        nodes=tuple(
+    prior_topo = Topology.from_arrays(
+        tuple(
             Node(n.node_id, n.kind, n.position, prior_info=np.diag([t2, t2]))
             if n.node_id == agent_id
             else n
             for n in topo.nodes
         ),
-        links=topo.links,
+        *topo._link_arrays,
         reciprocal=topo.reciprocal,
     )
     net = build_efim(prior_topo)

@@ -629,7 +629,8 @@ def rii_pathloss(
     """Path-loss ranging intensity z / d^(2b) on the annulus [r0, rmax].
 
     ``z`` is a fading draw (deterministic 1 by default); outside the annulus
-    the intensity is zero. ``rmax=None`` skips the outer cutoff.
+    the intensity is zero. ``rmax=None`` skips the outer cutoff. A power
+    d^(2b) that overflows or underflows to zero raises ``ValueError``.
     """
     if d <= 0.0:
         raise ValueError("distance must be positive")
@@ -641,7 +642,11 @@ def rii_pathloss(
         return 0.0
     if rmax is not None and d > rmax:
         return 0.0
-    return z / d ** (2.0 * b)
+    try:
+        return z / d ** (2.0 * b)
+    except (OverflowError, ZeroDivisionError):
+        power = f"{d!r}^{2.0 * b!r}"
+        raise ValueError(f"path-loss power d^(2b) = {power} is out of float range") from None
 
 
 def rii_pathloss_batch(d, b, z=1.0, r0=0.0, rmax=None) -> np.ndarray:

@@ -234,6 +234,29 @@ _LINK_FAULTS = {
          "channel": {"delays_s": [1e-8, 1.7e-8, 2.4e-8, 3.1e-8], "amplitudes": [1, 0.5, 0.4, 0.3]}},
         "delay spread places arrivals outside a tractable observation window (",
     ),
+    "self_link": ({"from": "u", "to": "u", "rii": 1.0}, "a node cannot range against itself"),
+    "rii_overflow": ({"from": "u", "to": "A", "rii": 1e400}, "rii must be finite and nonnegative"),
+    "nan_phi": (
+        {"from": "u", "to": "A", "rii": 1.0, "phi_rad": float("nan")},
+        "phi override must be finite",
+    ),
+    "nan_distance": (
+        {"from": "u", "to": "A", "rii": 1.0, "distance_m": float("nan")},
+        "distance override must be finite and positive",
+    ),
+    # a NaN path-loss distance gives a NaN intensity, reported as such
+    "nan_pathloss_distance": (
+        {"from": "u", "to": "A", "pathloss": {"b": 1.0}, "distance_m": float("nan")},
+        "rii must be finite and nonnegative",
+    ),
+    "pathloss_overflow": (
+        {"from": "u", "to": "A", "pathloss": {"b": 2.0}, "distance_m": 1e200},
+        "path-loss power d^(2b) = 1e+200^4.0 is out of float range",
+    ),
+    "pathloss_underflow": (
+        {"from": "u", "to": "A", "pathloss": {"b": 2.0}, "distance_m": 1e-200},
+        "path-loss power d^(2b) = 1e-200^4.0 is out of float range",
+    ),
 }
 _LONG_CHANNEL = _LINK_FAULTS["long_window"][0]["channel"]
 
@@ -495,6 +518,13 @@ class TestRiiCommand:
         assert main(["rii", "--pathloss", "2,1"]) == 0
         assert "2.500000e-01 1/m^2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("d", ["1e200", "1e-200"])
+    def test_pathloss_power_out_of_range_exit_one(self, capsys, d):
+        assert main(["rii", "--pathloss", f"{d},2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: path-loss power d^(2b) = ")
+
     def test_malformed_pulse_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("h1 h2\n1 2\nnot numeric here\n")
@@ -552,6 +582,22 @@ class TestConfigLoading:
         }
         cfg = load_config(write_config(tmp_path, doc))
         assert cfg.topology.links[0].rii == pytest.approx(0.25)
+
+    def test_waveform_without_channel_is_pathloss_link(self, tmp_path):
+        """The schema reads a link with ``waveform`` and ``pathloss`` but no
+        ``channel`` as a path-loss link, and so does the resolution."""
+        doc = {
+            "version": 1,
+            "network": {
+                "nodes": [
+                    {"id": "u", "kind": "agent", "position": [0.0, 0.0]},
+                    {"id": "A", "kind": "anchor", "position": [2.0, 0.0]},
+                ],
+                "links": [{"from": "u", "to": "A", "waveform": "w", "pathloss": {"b": 1.0}}],
+            },
+        }
+        cfg = load_config(write_config(tmp_path, doc))
+        assert cfg.topology.links[0].rii == 0.25
 
     def test_version_required(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Tests for waveform-level ranging information."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from locbounds.ranging import (
     psi_matrix,
     rii_no_prior,
     rii_pathloss,
+    rii_pathloss_batch,
     rii_with_channel_prior,
     sinc_pulse,
 )
@@ -383,3 +385,13 @@ class TestRiiPathloss:
             rii_pathloss(0.0, 1.0)
         with pytest.raises(ValueError):
             rii_pathloss(1.0, -1.0)
+
+    @pytest.mark.parametrize("d", [1e200, 1e-200])
+    def test_power_out_of_float_range_is_value_error(self, d):
+        """d^(2b) overflowing, or underflowing to zero, is an input error,
+        and the batch kernel raises the same one."""
+        message = f"path-loss power d^(2b) = {d!r}^4.0 is out of float range"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rii_pathloss(d, 2.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rii_pathloss_batch([1.0, d], 2.0)
