@@ -27,6 +27,13 @@ the eigen-form rule and ``_EIG_ZERO_REL`` test of ``peer_dpeb``, and sums
 J_L and J_U with ``einsum``. The scalar ``effective_rii`` is the reference
 the kernel is tested against. Identical inputs give bit-identical outputs,
 and two cooperating agents get exactly equal J_L and J_U.
+
+``bound_spebs`` reads the kernel's stacks as arrays: every agent's SPEB of
+J_L and of J_U, through ``speb_blocks``, after the checks the objects run,
+vectorised. The Monte Carlo studies and ``locbounds bounds`` read it;
+``efim_bounds``/``efim_bounds_all`` build an ``InfoMatrix2`` pair and a
+``CooperationCoeffs`` per agent from the same arrays for callers that want
+objects.
 """
 
 from __future__ import annotations
@@ -37,7 +44,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .infogeo import EllipseForm, InfoMatrix2, rdm, to_ellipse
+from .infogeo import (
+    PSD_TOL,
+    EllipseForm,
+    InfoMatrix2,
+    min_eig_blocks,
+    rdm,
+    speb_blocks,
+    to_ellipse,
+)
 from .network import NetworkEfim, Topology, build_efim
 
 __all__ = [
@@ -48,6 +63,7 @@ __all__ = [
     "two_agent_exact",
     "efim_bounds",
     "efim_bounds_all",
+    "bound_spebs",
 ]
 
 
@@ -283,3 +299,41 @@ def efim_bounds_all(
     net = topo if isinstance(topo, NetworkEfim) else build_efim(topo)
     arrays = _bounds_arrays(net)
     return {agent_id: _agent_bounds(net, arrays, k) for k, agent_id in enumerate(net.agent_ids)}
+
+
+def _symmetric(blocks: np.ndarray) -> np.ndarray:
+    """The stack as ``InfoMatrix2.from_array`` reads each block: the mean of
+    the off-diagonal pair, the diagonal as it is."""
+    out = blocks.copy()
+    out[:, 0, 1] = out[:, 1, 0] = 0.5 * (blocks[:, 0, 1] + blocks[:, 1, 0])
+    return out
+
+
+def _rejected(blocks: np.ndarray) -> np.ndarray:
+    """Per block of a symmetric stack, whether ``InfoMatrix2`` rejects it:
+    a nonfinite entry, or not PSD within ``PSD_TOL`` of its trace."""
+    a11, a12, a22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    tol = PSD_TOL * np.maximum(a11 + a22, 0.0)
+    finite = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(a22)
+    return ~finite | (a11 < -tol) | (a22 < -tol) | (min_eig_blocks(blocks) < -tol)
+
+
+def bound_spebs(net: NetworkEfim) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's SPEB of J_L and of J_U, as arrays in agent order.
+
+    The first bounds the exact SPEB from above, the second from below;
+    each is ``speb`` of the block ``efim_bounds_all`` returns, inf where
+    ``is_singular`` holds. The blocks and coefficients pass the checks of
+    ``InfoMatrix2`` and ``CooperationCoeffs`` as arrays; where one fails,
+    the first failing agent's objects are built, so the error is the one
+    ``efim_bounds_all`` raises.
+    """
+    arrays = _bounds_arrays(net)
+    low, high, xi_l, xi_u, _, linked = arrays
+    low, high = _symmetric(low), _symmetric(high)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad_coeffs = (xi_l < -1e-12) | (xi_u > 1.0 + 1e-12) | (xi_l > xi_u + 1e-12)
+        faults = (linked & bad_coeffs).any(axis=1) | _rejected(low) | _rejected(high)
+    for k in np.flatnonzero(faults):
+        _agent_bounds(net, arrays, k)  # raises the constructors' own error
+    return speb_blocks(low), speb_blocks(high)

@@ -5,7 +5,8 @@ Four subcommands for scripts and batch studies (no interactive UI):
 - ``speb``: per-agent error bounds, directional bounds and ellipse
   parameters from a network config;
 - ``bounds``: per-agent lower/upper closed-form approximations and their
-  ratio;
+  ratio, read as arrays from ``bounds.bound_spebs`` next to the exact
+  SPEBs of ``NetworkEfim.agent_info``;
 - ``experiment``: run a seeded Monte Carlo study and emit CSV + JSON files;
 - ``rii``: ranging-intensity report (beta, first-path SNR, overlap
   coefficient, lambda) from a pulse file plus channel, or from a path-loss
@@ -30,10 +31,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bounds import efim_bounds_all
+from .bounds import bound_spebs
+# unused here; perfbench/layertrace.py traces this name as the bounds layer
+from .bounds import efim_bounds_all  # noqa: F401
 from .config import ConfigError, load_config, load_pulse_file, validate_output
 from .experiments import EXPERIMENT_KINDS, default_spec, run_experiment
-from .infogeo import UNLOCALIZABLE, dpeb, speb, to_ellipse
+from .infogeo import UNLOCALIZABLE, dpeb, speb, speb_blocks, to_ellipse
 from .network import NetworkEfim, agent_efim, build_efim
 from .ranging import (
     SPEED_OF_LIGHT,
@@ -229,22 +232,24 @@ def _cmd_bounds(args) -> int:
     net = _load_network(args.config)
     records = []
     any_unlocalizable = False
-    for agent_id, (low, high, _) in efim_bounds_all(net).items():
-        exact = speb(agent_efim(net, agent_id))
-        upper = speb(low)  # loose information bounds the error from above
-        lower = speb(high)
-        localizable = upper is not UNLOCALIZABLE
+    # the loose information J_L bounds the error from above, J_U from below
+    uppers, lowers = bound_spebs(net)
+    exacts = speb_blocks(net.agent_info)
+    for agent_id, exact, lower, upper in zip(
+        net.agent_ids, exacts.tolist(), lowers.tolist(), uppers.tolist()
+    ):
+        localizable = not math.isinf(upper)
         any_unlocalizable |= not localizable
         ratio = None
-        if lower is not UNLOCALIZABLE and upper is not UNLOCALIZABLE:
-            ratio = float(lower / upper)
+        if localizable and not math.isinf(lower):
+            ratio = lower / upper
         records.append(
             {
                 "id": agent_id,
                 "localizable": localizable,
-                "speb_m2": float(exact) if exact is not UNLOCALIZABLE else None,
-                "speb_lower_m2": float(lower) if lower is not UNLOCALIZABLE else None,
-                "speb_upper_m2": float(upper) if upper is not UNLOCALIZABLE else None,
+                "speb_m2": None if math.isinf(exact) else exact,
+                "speb_lower_m2": None if math.isinf(lower) else lower,
+                "speb_upper_m2": upper if localizable else None,
                 "ratio": ratio,
             }
         )

@@ -43,11 +43,14 @@ run one loop: at every sweep point and trial it draws a network as arrays
 ``gen_extended`` hand to ``Topology.from_arrays``), assembles its EFIM with
 ``network.assemble_links``, the routine behind ``build_efim``, and takes
 the per-agent measures the kind needs (exact cooperative or anchors-only
-SPEB, or the closed-form bounds of ``efim_bounds_all``); each measure is
-aggregated into one output row per sweep point, and the summary, fits
-included, is computed from those aggregates. No ``Node``, ``RangingLink``
-or ``Topology`` is built on that path; the draws check the values their
-constructors would. ``_COLUMNS`` lists the output columns of every kind.
+SPEB, or the SPEBs of the closed-form bounds from ``bound_spebs``, as
+arrays with no per-agent objects); each measure is aggregated into one
+output row per sweep point, and the summary, fits included, is computed
+from those aggregates. The log-log fits are ``scipy.stats.linregress``'s
+formulas written with numpy (``_fit_loglog``), so no study imports
+``scipy.stats``. No ``Node``, ``RangingLink`` or ``Topology`` is built on
+that path; the draws check the values their constructors would.
+``_COLUMNS`` lists the output columns of every kind.
 
 Per-agent exact bounds are the SPEBs of ``NetworkEfim.agent_info``: every
 agent's equivalent information from one recursive-halving Schur reduction,
@@ -78,8 +81,10 @@ import numpy as np
 # unused here; perfbench/layertrace.py traces these names as the exact layer
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 
-from .bounds import effective_rii, efim_bounds_all
-from .infogeo import EllipseForm, speb, speb_blocks
+from .bounds import bound_spebs, effective_rii
+# unused here; perfbench/layertrace.py traces this name as the bounds layer
+from .bounds import efim_bounds_all  # noqa: F401
+from .infogeo import EllipseForm, speb_blocks
 from .network import NetworkEfim, Node, Topology, assemble_links
 # unused here; perfbench/layertrace.py traces this name as the assembly layer
 from .network import build_efim  # noqa: F401
@@ -771,15 +776,10 @@ def _draw_measures(net: NetworkEfim, names: set[str]) -> dict[str, np.ndarray]:
     if "noncoop" in names:
         out["noncoop"] = _noncoop_spebs(net)
     if not names.isdisjoint(("upper", "lower", "ratio")):
-        pairs = [(speb(low), speb(high)) for low, high, _ in efim_bounds_all(net).values()]
-        out["upper"] = np.array([upper for upper, _ in pairs])
-        out["lower"] = np.array([lower for _, lower in pairs])
-        out["ratio"] = np.array(
-            [
-                math.inf if math.isinf(upper) or math.isinf(lower) else lower / upper
-                for upper, lower in pairs
-            ]
-        )
+        upper, lower = bound_spebs(net)
+        out["upper"], out["lower"] = upper, lower
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out["ratio"] = np.where(np.isinf(upper) | np.isinf(lower), math.inf, lower / upper)
     return out
 
 
@@ -875,18 +875,36 @@ def _sign_change(
 
 
 def _fit_loglog(x: Sequence[float], y: Sequence[float]) -> dict:
-    """Slope of log y against log x with a 95% confidence half-width."""
-    # imported here, not at the top: it is most of the time `import locbounds.cli` takes
-    from scipy.stats import linregress
+    """Slope of log y against log x with a 95% confidence half-width.
 
-    res = linregress(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
+    The least-squares fit of ``scipy.stats.linregress`` (scipy 1.17) in its
+    own formulas, bit for bit: every field NaN when fewer than two points
+    are given or any logarithm is NaN, and r NaN where the spread of x or
+    y is zero and x and y do not covary.
+    """
+    x = np.log(np.asarray(x, dtype=float))
+    y = np.log(np.asarray(y, dtype=float))
+    n = x.size
+    if n < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return dict.fromkeys(("slope", "ci95", "intercept", "r_value"), math.nan)
+    if np.amax(x) == np.amin(x):
+        raise ValueError(
+            "Cannot calculate a linear regression if all x values are identical"
+        )
+    xmean, ymean = np.mean(x), np.mean(y)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
     return {
-        "slope": float(res.slope),
-        "ci95": float(1.96 * res.stderr),
-        "intercept": float(res.intercept),
-        "r_value": float(res.rvalue),
+        "slope": float(slope),
+        "ci95": float(1.96 * stderr),
+        "intercept": float(ymean - slope * xmean),
+        "r_value": float(r),
     }
-
 
 
 def angle_pair_spread(phis: np.ndarray) -> float:

@@ -681,5 +681,8 @@ def rii_pathloss_batch(d, b, z=1.0, r0=0.0, rmax=None) -> np.ndarray:
     if invalid.any() or power is None or not power.all():
         args = (v.ravel().tolist() for v in (d, b, z, r0, rmax))
         return np.reshape([rii_pathloss(*a) for a in zip(*args)], d.shape)
-    rii.flat[inside] = z.flat[inside] / power
+    # a subnormal power overflows the quotient to inf, which the callers'
+    # finite-intensity check reports with the link's path
+    with np.errstate(over="ignore"):
+        rii.flat[inside] = z.flat[inside] / power
     return rii

@@ -72,6 +72,13 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def run_python(*args):
+    """A fresh interpreter on the package's sources, ``python3 *args``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def write_pulse(tmp_path, header=True):
     w = gaussian_pulse(1e-9, dt=1e-9 / 32, span=8.0)
     lines = ["time_s amplitude"] if header else []
@@ -373,6 +380,18 @@ class TestExperimentCommand:
         rows = csv_path.read_text().strip().splitlines()
         first = rows[1].split(",")
         assert first[1] == "2" and float(first[3]) == 1.0
+
+    def test_dense_scaling_leaves_scipy_stats_unloaded(self, tmp_path):
+        """The slope fits are closed-form: no study imports ``scipy.stats``."""
+        code = (
+            "import sys; from locbounds.cli import main; "
+            f"code = main(['experiment', 'dense_scaling', '--trials', '1', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'scipy.stats' in sys.modules)"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "dense_scaling_0.json").exists()
 
     def test_same_seed_identical_files(self, tmp_path):
         args = ["experiment", "lemma2", "--trials", "500", "--seed", "3", "--out", str(tmp_path)]
@@ -726,12 +745,22 @@ class TestConfigLoading:
             "import sys, locbounds.cli; "
             "print(sorted({'jsonschema', 'scipy.stats'} & set(sys.modules)))"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["speb", "bounds"])
+    def test_subnormal_pathloss_power_reports_only_the_error(self, tmp_path, command):
+        """d^(2b) = 1e-320 is subnormal, so z / d^(2b) overflows to inf: the
+        link is rejected with its path and nothing else is printed."""
+        doc = json.loads(
+            '{"version": 1, "network": {"nodes": %s, "links": [{"from": "u", "to": "A",'
+            ' "pathloss": {"b": 1}, "distance_m": 1e-160}]}}' % _NODES
+        )
+        proc = run_python("-m", "locbounds.cli", command, write_config(tmp_path, doc))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: network/links/0: rii must be finite and nonnegative\n"
 
     def test_output_validator_raises_what_jsonschema_does(self, tmp_path, capsys):
         """The cached validator rejects a document with the same error as

@@ -23,6 +23,7 @@ from locbounds.experiments import (
     substream,
     _draw,
     _first_doubles,
+    _fit_loglog,
     _noncoop_spebs,
     _per_agent_spebs,
     _philox_first_block,
@@ -487,6 +488,77 @@ class TestStudyDraws:
             net = _draw(spec, "extended_scaling", {"radius_m": radius}, trial)
             self.assert_same(net, build_efim(ref))
             assert net.n_agents == len(ref.agents)
+
+
+def _same_bits(a, b):
+    """Equal as IEEE doubles, sign of zero included; NaN matches NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestFitLoglog:
+    """``_fit_loglog`` is ``scipy.stats.linregress`` on the logarithms, bit
+    for bit, without importing ``scipy.stats``."""
+
+    @staticmethod
+    def _linregress(x, y):
+        from scipy.stats import linregress
+
+        res = linregress(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
+        return [res.slope, 1.96 * res.stderr, res.intercept, res.rvalue]
+
+    def assert_matches(self, x, y):
+        fit = _fit_loglog(x, y)
+        assert list(fit) == ["slope", "ci95", "intercept", "r_value"]
+        want = self._linregress(x, y)
+        for key, got, ref in zip(fit, fit.values(), want):
+            assert type(got) is float
+            assert _same_bits(got, float(ref)), (key, got, ref)
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(17)
+        for n in (3, 4, 5, 7, 12):
+            for _ in range(40):
+                x = np.sort(rng.uniform(1.0, 100.0, n))
+                y = np.exp(rng.normal(0.0, 3.0, n)) * x ** rng.uniform(-2.0, 1.0)
+                self.assert_matches(x.tolist(), y.tolist())
+
+    def test_exact_power_law_and_the_dense_sweep(self):
+        x = [8, 12, 20, 36, 68]
+        self.assert_matches(x, [3.0 * v**-1.5 for v in x])
+        self.assert_matches(x, [3.0 * v**1.0 for v in x])
+        self.assert_matches([4, 8, 16, 32, 64], [0.9, 0.41, 0.2, 0.093, 0.051])
+
+    def test_two_points(self):
+        self.assert_matches([2.0, 5.0], [1.0, 0.3])
+        self.assert_matches([2.0, 5.0], [0.3, 0.3])
+        assert _fit_loglog([2.0, 5.0], [1.0, 0.3])["ci95"] == 0.0
+
+    def test_constant_y(self):
+        self.assert_matches([4, 8, 16, 32, 64], [0.5] * 5)
+        assert math.isnan(_fit_loglog([4, 8, 16, 32, 64], [0.5] * 5)["r_value"])
+
+    def test_infinite_mean(self):
+        """A sweep point whose every draw is unlocalizable has mean inf."""
+        self.assert_matches([4, 8, 16, 32, 64], [1.0, 0.5, math.inf, 0.1, 0.05])
+        self.assert_matches([4, 8, 16], [math.inf] * 3)
+
+    def test_nan(self):
+        self.assert_matches([4, 8, 16, 32], [1.0, math.nan, 0.2, 0.1])
+        self.assert_matches([4, 8, 16, 32], [1.0, -0.5, 0.2, 0.1])  # log of a negative
+        fit = _fit_loglog([4, 4, 4], [1.0, math.nan, 0.2])
+        assert all(math.isnan(v) for v in fit.values())
+        assert _same_bits(fit["slope"], float(self._linregress([4, 4, 4], [1.0, math.nan, 0.2])[0]))
+
+    def test_identical_x(self):
+        from scipy.stats import linregress
+
+        with pytest.raises(ValueError) as want:
+            linregress(np.log([4.0, 4.0, 4.0]), np.log([1.0, 0.5, 0.2]))
+        with pytest.raises(ValueError) as got:
+            _fit_loglog([4, 4, 4], [1.0, 0.5, 0.2])
+        assert str(got.value) == str(want.value)
 
 
 class TestOutputs:
