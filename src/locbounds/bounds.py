@@ -18,7 +18,9 @@ these operations give interpretable closed forms:
 
 Peers whose anchor information is singular along the coupling direction
 contribute nothing (xi = 0); this conservative convention is flagged
-explicitly in the returned coefficients.
+explicitly in the returned coefficients. A bearing component within
+rounding of zero (``_BEARING_DUST``) counts as zero, so a peer whose only
+anchor lies on the bearing is not singular across it.
 
 ``efim_bounds`` and ``efim_bounds_all`` share one array kernel over all
 (k, j) agent pairs: it reads nu and phi of every pair block of ``j_c`` at
@@ -108,23 +110,29 @@ class CooperationCoeffs:
 # in one direction is not singular).
 _EIG_ZERO_REL = 1e-13
 
+# A squared bearing component (cos^2 or sin^2 of theta - phi) this small is
+# rounding in the angles, not a direction: a few ulps of pi, squared. It
+# counts as zero, so a peer is never singular across a bearing it lies on.
+_BEARING_DUST = (4.0 * math.ulp(math.pi)) ** 2
+
 
 def peer_dpeb(e: EllipseForm, phi: float) -> float:
     """Directional error bound of a peer along ``phi`` from its eigen form.
 
     Delta(phi) = cos^2(theta - phi)/mu + sin^2(theta - phi)/eta; infinite
-    when the peer carries no information along the bearing.
+    when the peer carries no information along the bearing. A component
+    within rounding of zero (``_BEARING_DUST``) counts as zero.
     """
     rel = e.theta - phi
     c2 = math.cos(rel) ** 2
     s2 = math.sin(rel) ** 2
     tol = _EIG_ZERO_REL * max(e.mu, 0.0)
     out = 0.0
-    if c2 > 0.0:
+    if c2 > _BEARING_DUST:
         if e.mu <= tol:
             return math.inf
         out += c2 / e.mu
-    if s2 > 0.0:
+    if s2 > _BEARING_DUST:
         if e.eta <= tol:
             return math.inf
         out += s2 / e.eta
@@ -191,8 +199,8 @@ def _peer_dpeb(mu: np.ndarray, eta: np.ndarray, theta: np.ndarray, phi: np.ndarr
     c2 = np.cos(rel) ** 2
     s2 = np.sin(rel) ** 2
     tol = _EIG_ZERO_REL * np.maximum(mu, 0.0)
-    along = c2 > 0.0
-    across = s2 > 0.0
+    along = c2 > _BEARING_DUST
+    across = s2 > _BEARING_DUST
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = np.where(along, c2 / mu, 0.0) + np.where(across, s2 / eta, 0.0)
     singular = (along & (mu <= tol)) | (across & (eta <= tol))

@@ -6,15 +6,20 @@ variables). Unknown keys are rejected with their JSON path; syntax errors
 surface with line and column. Links may carry an explicit intensity, a
 (waveform, channel) pair resolved through the ranging module, or a
 path-loss model evaluated at the link distance, read by the schema branch
-they match; intensities are resolved as arrays, one batched pass per
-pulse and one for the path-loss links, and the links go to
-``Topology.from_arrays`` as arrays, with no per-link object.
+they match. Intensities are resolved as arrays, with no per-link object:
+a waveform link's channel stays raw JSON until each pulse's channels are
+flattened into arrays, checked and resolved in one batched pass, and the
+path-loss links take one more; the links go to ``Topology.from_arrays``
+as arrays. An integer beyond float range reads as the infinity its float
+literal (``1e400``) parses to, so it is rejected with the same error.
 
 Config documents and produced outputs are checked against the published
 schemas by a checker compiled once per schema (``_compile``), which
-decides acceptance. Only a rejected document goes through ``jsonschema``,
-which explains the rejection: its first error by path for a config, its
-``best_match`` for an output, exactly as a jsonschema-only check reports.
+decides acceptance; a link's ``oneOf`` is decided from which of its
+branches' required keys the link has. Only a rejected document goes
+through ``jsonschema``, which explains the rejection: its first error by
+path for a config, its ``best_match`` for an output, exactly as a
+jsonschema-only check reports.
 
 Pulse files are two-column numeric text (time_s, amplitude), one optional
 header line, uniform sample spacing.
@@ -26,8 +31,10 @@ import json
 import math
 import numbers
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import chain
 from importlib import resources
 from typing import Callable, Optional
 
@@ -39,8 +46,9 @@ from .ranging import (
     SPEED_OF_LIGHT,
     MultipathChannel,
     WaveformModel,
+    first_channel_fault,
     rii_no_prior,
-    rii_no_prior_batch,
+    rii_no_prior_flat,
     rii_pathloss,
     rii_pathloss_batch,
 )
@@ -120,6 +128,41 @@ def _all(checks: list[Check]) -> Check:
     return check
 
 
+def _one_of(branches: tuple[Check, ...]) -> Check:
+    """Exactly one branch holds; stops at the second that does."""
+
+    def check(x) -> bool:
+        matched = False
+        for branch in branches:
+            if branch(x):
+                if matched:
+                    return False
+                matched = True
+        return matched
+
+    return check
+
+
+def _one_of_required(required: list[frozenset]) -> Check:
+    """``oneOf`` over branches that only require keys, decided from which of
+    their keys an object has (one verdict per key subset, kept once seen);
+    any other instance satisfies every branch."""
+    names = frozenset().union(*required)
+    verdicts: dict[frozenset, bool] = {}
+    lone = len(required) == 1
+
+    def check(x) -> bool:
+        if not isinstance(x, dict):
+            return lone
+        present = names.intersection(x)
+        verdict = verdicts.get(present)
+        if verdict is None:
+            verdict = verdicts[present] = sum(r <= present for r in required) == 1
+        return verdict
+
+    return check
+
+
 def _compile(schema, root=None, defs=None) -> Check:
     """Compile a JSON Schema (2020-12) built from the keywords the published
     schemas use into one accept/reject predicate with jsonschema's semantics;
@@ -158,7 +201,7 @@ def _compile(schema, root=None, defs=None) -> Check:
     if "enum" in schema:
         options = tuple(_equals(v) for v in schema["enum"])
         checks.append(lambda x: any(eq(x) for eq in options))
-    if schema.keys() & {"required", "properties", "additionalProperties"}:
+    if schema.keys() & {"properties", "additionalProperties"}:
         required = frozenset(schema.get("required", ()))
         props = {k: sub(v) for k, v in schema.get("properties", {}).items()}
         extra = sub(schema["additionalProperties"]) if "additionalProperties" in schema else None
@@ -175,6 +218,9 @@ def _compile(schema, root=None, defs=None) -> Check:
             return True
 
         checks.append(check_object)
+    elif "required" in schema:
+        required = frozenset(schema["required"])
+        checks.append(lambda x: not isinstance(x, dict) or required <= x.keys())
     if schema.keys() & {"items", "minItems", "maxItems"}:
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
         item = sub(schema["items"]) if "items" in schema else None
@@ -193,8 +239,11 @@ def _compile(schema, root=None, defs=None) -> Check:
             or not ((low is not None and x < low) or (xlow is not None and x <= xlow))
         )
     if "oneOf" in schema:
-        branches = tuple(sub(s) for s in schema["oneOf"])
-        checks.append(lambda x: sum(1 for b in branches if b(x)) == 1)
+        options = schema["oneOf"]
+        if all(isinstance(s, dict) and s.keys() - _ANNOTATIONS == {"required"} for s in options):
+            checks.append(_one_of_required([frozenset(s["required"]) for s in options]))
+        else:
+            checks.append(_one_of(tuple(sub(s) for s in options)))
     return _all(checks) if checks else (lambda x: True)
 
 
@@ -284,11 +333,9 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
             node = Node(
                 node_id=entry["id"],
                 kind=entry["kind"],
-                position=np.array(entry["position"], dtype=float),
-                prior_info=np.array(prior["info"], dtype=float) if prior else None,
-                prior_mean=(
-                    np.array(prior["mean"], dtype=float) if prior and "mean" in prior else None
-                ),
+                position=_floats(entry["position"]),
+                prior_info=_floats(prior["info"]) if prior else None,
+                prior_mean=_floats(prior["mean"]) if prior and "mean" in prior else None,
             )
         except ValueError as exc:
             raise ConfigError(str(exc), location=f"network/nodes/{i}") from exc
@@ -303,7 +350,9 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
         if not os.path.isabs(pulse_path):
             pulse_path = os.path.join(base_dir, pulse_path)
         waveforms[name] = load_pulse_file(
-            pulse_path, n0_half=wf.get("n0_half", 1.0), c=wf.get("c", SPEED_OF_LIGHT)
+            pulse_path,
+            n0_half=_in_float_range(wf.get("n0_half", 1.0)),
+            c=_in_float_range(wf.get("c", SPEED_OF_LIGHT)),
         )
 
     links = _resolve_links(network.get("links", []), index, positions, waveforms)
@@ -322,20 +371,22 @@ def _resolve_links(
     waveforms: dict[str, WaveformModel],
 ) -> tuple[np.ndarray, ...]:
     """Link entries as the arrays ``Topology.from_arrays`` takes, with
-    their intensities resolved as arrays: one ``rii_no_prior_batch`` per
-    pulse and one ``rii_pathloss_batch`` for all path-loss links. A batch
-    that raises is resolved again one link at a time by the scalar
-    references, in link order, so a rejected document reports the first
-    faulty link's ``network/links/<i>`` with its own message; a link's
-    entry is checked first, then its intensity, then ``RangingLink``'s
-    checks (``first_link_fault``).
+    their intensities resolved as arrays. A waveform link's channel stays a
+    raw dict until each pulse's channels are flattened into arrays
+    (``_channel_arrays``), checked with ``MultipathChannel``'s messages
+    (``first_channel_fault``) and resolved by one ``rii_no_prior_flat``;
+    the path-loss links go through one ``rii_pathloss_batch``. A link the
+    batches leave unresolved (all path-loss links when that batch raises)
+    goes through its scalar reference, in link order, so a rejected document
+    reports the first faulty link's ``network/links/<i>`` with its own
+    message; a link's entry (node ids, waveform name, channel) is checked
+    first, then its intensity, then ``RangingLink``'s checks
+    (``first_link_fault``).
     """
     ends: list[tuple[int, int]] = []
-    rii = np.zeros(len(entries))
-    channels: dict[int, MultipathChannel] = {}
-    by_pulse: dict[str, list[int]] = {}
+    given: list[int] = []
+    pulses: dict[str, tuple[list[int], list[dict]]] = {}
     pathloss: list[int] = []
-    models: list[dict] = []
     fault = None
     for i, entry in enumerate(entries):
         try:
@@ -344,66 +395,84 @@ def _resolve_links(
                     raise ValueError(f"unknown node id {node_id!r}")
             # the schema's branches: rii, else waveform with channel, else path loss
             if "rii" in entry:
-                rii[i] = float(entry["rii"])
+                given.append(i)
             elif "waveform" in entry and "channel" in entry:
                 name = entry["waveform"]
                 if name not in waveforms:
                     raise ValueError(f"unknown waveform {name!r}")
-                channel_raw = entry["channel"]
-                channels[i] = MultipathChannel(
-                    delays=np.array(channel_raw["delays_s"], dtype=float),
-                    amplitudes=np.array(channel_raw["amplitudes"], dtype=float),
-                    los=channel_raw.get("los", True),
-                )
-                by_pulse.setdefault(name, []).append(i)
+                at, channels = pulses.setdefault(name, ([], []))
+                at.append(i)
+                channels.append(entry["channel"])
             else:
                 pathloss.append(i)
-                models.append(entry["pathloss"])
         except ValueError as exc:
             fault = ConfigError(str(exc), location=f"network/links/{i}")
             break
         ends.append((index[entry["from"]], index[entry["to"]]))
-    count = len(ends)
-    src, dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-    rii = rii[:count]
+    n = len(ends)  # the links before the first entry fault
+    flat = {}
+    for name, (at, channels) in pulses.items():
+        flat[name] = arrays = _channel_arrays(channels)
+        bad = first_channel_fault(*arrays[:4])
+        if bad is not None and at[bad[0]] < n:
+            n = at[bad[0]]
+            fault = ConfigError(bad[1], location=f"network/links/{n}")
+    src, dst = np.array(ends[:n], dtype=np.intp).reshape(-1, 2).T
+    rii = np.zeros(n)
+    given = given[: bisect_left(given, n)]
+    rii[given] = _floats([entries[i]["rii"] for i in given])
 
-    one_by_one: set[int] = set()
-    for name, idx in by_pulse.items():
-        try:
-            rii[idx] = rii_no_prior_batch(waveforms[name], [channels[i] for i in idx])
-        except ValueError:
-            one_by_one.update(idx)
-    distance = np.full(count, np.nan)  # of the path-loss links, as given or from positions
+    scalar: dict[int, Callable[[], float]] = {}  # links left to the scalar references
+    for name, (at, _) in pulses.items():
+        delays, amps, sizes, _, los = flat[name]
+        m = bisect_left(at, n)
+        stops = np.cumsum(sizes[:m])
+        paths = int(sizes[:m].sum())
+        w = waveforms[name]
+        values = rii_no_prior_flat(w, delays[:paths], amps[:paths], sizes[:m], los[:m])
+        rii[at[:m]] = values
+        for j in np.flatnonzero(np.isnan(values)).tolist():
+            own = slice(stops[j] - sizes[j], stops[j])
+            scalar[at[j]] = partial(rii_no_prior, w, MultipathChannel(delays[own], amps[own]))
+    pathloss = pathloss[: bisect_left(pathloss, n)]
     if pathloss:
+        distance = np.full(n, np.nan)  # of the path-loss links, as given or from positions
         d = positions[src[pathloss]] - positions[dst[pathloss]]
         distance[pathloss] = np.hypot(d[:, 0], d[:, 1])
-        given = [i for i in pathloss if "distance_m" in entries[i]]
-        distance[given] = [entries[i]["distance_m"] for i in given]
-        try:
-            rii[pathloss] = rii_pathloss_batch(
-                distance[pathloss],
+        measured = [i for i in pathloss if "distance_m" in entries[i]]
+        distance[measured] = _floats([entries[i]["distance_m"] for i in measured])
+        distance = distance[pathloss]
+        models = [entries[i]["pathloss"] for i in pathloss]
+        params = [
+            _floats(v)
+            for v in (
                 [m["b"] for m in models],
-                z=[m.get("z", 1.0) for m in models],
-                r0=[m.get("r0", 0.0) for m in models],
-                rmax=[np.inf if m.get("rmax") is None else m["rmax"] for m in models],
+                [m.get("z", 1.0) for m in models],
+                [m.get("r0", 0.0) for m in models],
+                [math.inf if m.get("rmax") is None else m["rmax"] for m in models],
             )
-        except ValueError:
-            one_by_one.update(pathloss)
-    for i in sorted(one_by_one):
+        ]
         try:
-            rii[i] = _link_rii(entries[i], float(distance[i]), waveforms, channels.get(i))
+            rii[pathloss] = rii_pathloss_batch(distance, *params)
+        except ValueError:
+            args = zip(distance.tolist(), *(p.tolist() for p in params))
+            scalar.update((i, partial(_pathloss_rii, *a)) for i, a in zip(pathloss, args))
+    checked = n  # the links before the first intensity fault too
+    for i in sorted(scalar):
+        try:
+            rii[i] = scalar[i]()
         except ValueError as exc:
             fault = ConfigError(str(exc), location=f"network/links/{i}")
-            count = i
+            checked = i
             break
 
     # an override is NaN where none is given, so a given NaN, not finite either, is held as inf
     overrides = (
-        [math.inf if v != v else v for v in (entry.get(key) for entry in entries[: len(ends)])]
+        [math.inf if v != v else v for v in (entry.get(key) for entry in entries[:n])]
         for key in ("phi_rad", "distance_m")
     )
-    links = (src, dst, rii, *(np.array(v, dtype=float) for v in overrides))
-    first = first_link_fault(*(a[:count] for a in links))
+    links = (src, dst, rii, *(_floats(v) for v in overrides))
+    first = first_link_fault(*(a[:checked] for a in links))
     if first is not None:
         raise ConfigError(first[1], location=f"network/links/{first[0]}")
     if fault is not None:
@@ -411,22 +480,48 @@ def _resolve_links(
     return links
 
 
-def _link_rii(
-    entry: dict,
-    distance: float,
-    waveforms: dict[str, WaveformModel],
-    channel: Optional[MultipathChannel],
-) -> float:
-    """One waveform or path-loss link's intensity from the scalar
-    references; raises that link's own error."""
-    if channel is not None:
-        return rii_no_prior(waveforms[entry["waveform"]], channel)
-    if distance <= 0.0:
-        raise ValueError("path-loss link needs a positive distance")
-    pl = entry["pathloss"]
-    return rii_pathloss(
-        distance, pl["b"], z=pl.get("z", 1.0), r0=pl.get("r0", 0.0), rmax=pl.get("rmax")
+def _channel_arrays(channels: list[dict]) -> tuple[np.ndarray, ...]:
+    """One pulse's channel dicts as flat arrays: all delays, all amplitudes,
+    each channel's count of either, and the LOS flags."""
+    delays = [ch["delays_s"] for ch in channels]
+    amps = [ch["amplitudes"] for ch in channels]
+    return (
+        _floats(list(chain.from_iterable(delays))),
+        _floats(list(chain.from_iterable(amps))),
+        np.fromiter(map(len, delays), dtype=np.intp, count=len(delays)),
+        np.fromiter(map(len, amps), dtype=np.intp, count=len(amps)),
+        np.array([ch.get("los", True) for ch in channels], dtype=bool),
     )
+
+
+def _pathloss_rii(d: float, b: float, z: float, r0: float, rmax: float) -> float:
+    """``rii_pathloss`` of one path-loss link; raises that link's own error."""
+    if d <= 0.0:
+        raise ValueError("path-loss link needs a positive distance")
+    return rii_pathloss(d, b, z=z, r0=r0, rmax=rmax)
+
+
+def _floats(values) -> np.ndarray:
+    """``np.array(values, dtype=float)`` of JSON numbers (nested lists, None
+    for NaN), with an integer beyond float range read as the infinity of
+    its sign, as its float literal (``1e400``) parses."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array(_in_float_range(values), dtype=float)
+
+
+def _in_float_range(value):
+    """A JSON number, or nested lists of them, with each integer beyond
+    float range replaced by the infinity of its sign."""
+    if isinstance(value, list):
+        return [_in_float_range(v) for v in value]
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    return value
 
 
 def load_pulse_file(path: str, n0_half: float = 1.0, c: float = SPEED_OF_LIGHT) -> WaveformModel:

@@ -20,9 +20,12 @@ delay/amplitude parameters:
   kappa = (b_1, alpha_1, ..., b_L, alpha_L);
 - ``rii_pathloss`` is the parametric model lambda(r) = z / r^(2b) on
   [r0, rmax] used by the scaling experiments;
-- ``rii_no_prior_batch`` and ``rii_pathloss_batch`` compute the same
+- ``rii_no_prior_flat`` and ``rii_pathloss_batch`` compute the same
   intensities for many links at once, bit for bit, with the scalar
-  functions as their references.
+  functions as their references; ``rii_no_prior_flat`` reads channels as
+  flat arrays (the config loader's form, checked by
+  ``first_channel_fault`` with ``MultipathChannel``'s messages), and
+  ``rii_no_prior_batch`` flattens ``MultipathChannel`` objects into it.
 
 Unit audit: delays tau are seconds and distances meters, so the scaled
 amplitude coordinate alpha/c makes every entry of the Psi matrix carry 1/s^2
@@ -61,8 +64,10 @@ __all__ = [
     "psi_matrix",
     "path_overlap_chi",
     "first_contiguous_cluster",
+    "first_channel_fault",
     "rii_no_prior",
     "rii_no_prior_batch",
+    "rii_no_prior_flat",
     "rii_with_channel_prior",
     "known_los_bias_prior",
     "rii_pathloss",
@@ -257,6 +262,41 @@ class MultipathChannel:
     def biases(self, c: float) -> np.ndarray:
         """Range biases c*(tau_l - tau_1) in meters (first is 0 for LOS)."""
         return c * (self.delays - self.delays[0])
+
+
+def first_channel_fault(delays, amplitudes, n_delays, n_amplitudes) -> Optional[tuple[int, str]]:
+    """(index, message) of the first channel that fails ``MultipathChannel``'s
+    checks, in its order, run on flat arrays: channel k holds the next
+    ``n_delays[k]`` of ``delays`` and the next ``n_amplitudes[k]`` of
+    ``amplitudes``. None if every channel passes."""
+    n_delays = np.asarray(n_delays, dtype=np.intp)
+    n_amplitudes = np.asarray(n_amplitudes, dtype=np.intp)
+    d_end, a_end = np.cumsum(n_delays), np.cumsum(n_amplitudes)
+
+    def any_per_channel(flags, end, n):
+        total = np.concatenate(([0], np.cumsum(flags)))
+        return total[end] > total[end - n]
+
+    falling = np.zeros(len(delays), dtype=bool)
+    falling[1:] = np.diff(delays) < 0.0
+    falling[(d_end - n_delays)[n_delays > 0]] = False  # a channel's first delay
+    checks = (
+        (
+            (n_delays < 1) | (n_delays != n_amplitudes),
+            "need L >= 1 delays with matching amplitudes",
+        ),
+        (
+            any_per_channel(~np.isfinite(delays), d_end, n_delays)
+            | any_per_channel(~np.isfinite(amplitudes), a_end, n_amplitudes),
+            "delays and amplitudes must be finite",
+        ),
+        (any_per_channel(falling, d_end, n_delays), "delays must be nondecreasing"),
+    )
+    fails = np.array([mask for mask, _ in checks]).reshape(len(checks), -1)
+    at = np.flatnonzero(fails.any(axis=0))
+    if not at.size:
+        return None
+    return int(at[0]), checks[int(np.argmax(fails[:, at[0]]))][1]
 
 
 @dataclass(frozen=True)
@@ -463,26 +503,49 @@ def rii_no_prior(w: WaveformModel, ch: MultipathChannel) -> float:
 
 
 def rii_no_prior_batch(w: WaveformModel, channels: Sequence[MultipathChannel]) -> np.ndarray:
-    """``rii_no_prior`` of every channel, bit for bit, in one batched pass.
+    """``rii_no_prior`` of every channel, bit for bit: ``rii_no_prior_flat``
+    on the channels' concatenated arrays, then ``rii_no_prior`` itself on
+    each channel the batch leaves unresolved, in order, so the first failing
+    channel raises exactly what a one-at-a-time loop raises."""
+    rii = rii_no_prior_flat(
+        w,
+        np.concatenate([np.empty(0)] + [ch.delays for ch in channels]),
+        np.concatenate([np.empty(0)] + [ch.amplitudes for ch in channels]),
+        [ch.n_paths for ch in channels],
+        [ch.los for ch in channels],
+    )
+    for i in np.flatnonzero(np.isnan(rii)).tolist():
+        rii[i] = rii_no_prior(w, channels[i])
+    return rii
 
-    Channels are grouped by the size of their first contiguous cluster. A
-    group's observation grids and interpolated features are built together,
-    padded only to the longest grid in a chunk of grids within 2x of each
-    other; each Psi is the Gram product of its link's own unpadded samples,
-    and the overlap coefficients come from batched ``eigvalsh`` and
-    ``solve``, so every value rounds as in ``rii_no_prior``. A channel the
-    batch does not resolve (window over the sample cap, singular
-    information, chi outside [0, 1], a non-finite value) goes through
-    ``rii_no_prior`` itself, so the first failing channel raises exactly
-    what a one-at-a-time loop raises.
+
+def rii_no_prior_flat(w: WaveformModel, delays, amplitudes, sizes, los) -> np.ndarray:
+    """``rii_no_prior`` of many channels in one batched pass, bit for bit,
+    NaN where the batch leaves a channel unresolved.
+
+    Channel k holds the next ``sizes[k]`` of the flat ``delays`` and
+    ``amplitudes``, valid as ``MultipathChannel`` requires
+    (``first_channel_fault``), and is LOS where ``los[k]``. The LOS channels
+    are grouped by the size of their first contiguous cluster. A group's
+    observation grids and interpolated features are built together, padded
+    only to the longest grid in a chunk of grids within 2x of each other;
+    each Psi is the Gram product of its link's own unpadded samples, and the
+    overlap coefficients come from batched ``eigvalsh`` and ``solve``, so
+    every value rounds as in ``rii_no_prior``. A channel the batch does not
+    resolve (window over the sample cap, singular information, chi outside
+    [0, 1], a non-finite value) reads NaN: ``rii_no_prior`` on it gives its
+    value or raises its error.
     """
-    rii = np.zeros(len(channels))
-    los = [i for i, ch in enumerate(channels) if ch.los]
-    if not los:
+    los = np.asarray(los, dtype=bool)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    rii = np.zeros(los.size)
+    los_at = np.flatnonzero(los)
+    if not los_at.size:
         return rii
-    sizes = np.array([channels[i].n_paths for i in los])
-    delays = np.concatenate([channels[i].delays for i in los])
-    amps = np.concatenate([channels[i].amplitudes for i in los])
+    paths = np.repeat(los, sizes)
+    delays = np.asarray(delays, dtype=float)[paths]
+    amps = np.asarray(amplitudes, dtype=float)[paths]
+    sizes = sizes[los_at]
     starts = np.cumsum(sizes) - sizes
     # first_contiguous_cluster: arrivals chain while their gap is below the support
     ends = np.ones(delays.size, dtype=bool)
@@ -499,7 +562,7 @@ def rii_no_prior_batch(w: WaveformModel, channels: Sequence[MultipathChannel]) -
     n0 = 2.0 * w.n0_half
     edge, inner = np.sqrt(np.array([0.5 * w.dt, w.dt]) * (2.0 / n0))
     window_ok = n_grid <= _MAX_WINDOW_SAMPLES  # False for NaN too
-    explain = [los[j] for j in np.flatnonzero(~window_ok)]
+    rii[los_at[~window_ok]] = np.nan
     n_grid = np.where(window_ok, n_grid, 0).astype(np.int64)
     for size in np.unique(keep).tolist():
         group = np.flatnonzero((keep == size) & window_ok)
@@ -533,21 +596,15 @@ def rii_no_prior_batch(w: WaveformModel, channels: Sequence[MultipathChannel]) -
                 np.matmul(own, own.T, out=psi[first + j])
             first = last
         psi = 0.5 * (psi + psi.transpose(0, 2, 1))  # PsiMatrix's symmetrization
-        for j, value in zip(group.tolist(), _no_prior_from_psi(psi, w.c)):
-            if value is None:
-                explain.append(los[j])
-            else:
-                rii[los[j]] = value
-    for i in sorted(explain):
-        rii[i] = rii_no_prior(w, channels[i])
+        rii[los_at[group]] = _no_prior_from_psi(psi, w.c)
     return rii
 
 
-def _no_prior_from_psi(psi: np.ndarray, c: float) -> list[Optional[float]]:
+def _no_prior_from_psi(psi: np.ndarray, c: float) -> np.ndarray:
     """``rii_no_prior``'s reduction of a stack of LOS Psi matrices, each as
-    ``path_overlap_chi`` computes it; None where that raises or a value is
+    ``path_overlap_chi`` computes it; NaN where that raises or a value is
     not finite."""
-    out: list[Optional[float]] = [None] * psi.shape[0]
+    out = np.full(psi.shape[0], np.nan)
     u2 = psi[:, 0, 0].tolist()
     ok = np.flatnonzero(np.isfinite(psi).all(axis=(1, 2)) & (psi[:, 0, 0] > 0.0))
     rest = psi[ok, 1:, 1:]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from locbounds.bounds import bound_spebs, efim_bounds_all
-from locbounds.infogeo import speb
+from locbounds.infogeo import speb, speb_blocks
 from locbounds.network import NetworkEfim, Node, Topology, build_efim
 from locbounds.ranging import RangingLink
 
@@ -19,8 +19,9 @@ from hypothesis import strategies as st  # noqa: E402
 @st.composite
 def _networks(draw):
     """Small reciprocal topologies on a coarse grid, so agents and anchors
-    often line up: a peer whose only anchor lies along the bearing to its
-    neighbour is singular along that bearing. Intensities are 0 or span
+    often line up: a peer whose only anchor lies across the bearing to its
+    neighbour is singular along that bearing, and one whose only anchor
+    lies on it is singular across it. Intensities are 0 or span
     1e-8 to 1e8, so anchor information is often strongly anisotropic, and
     agents may have no links at all."""
     coord = st.integers(-3, 3).map(float)
@@ -58,9 +59,16 @@ def _topology(positions, n_agents, links):
     return Topology(nodes, links, reciprocal=True)
 
 
-# a1's one anchor lies along its bearing to a0, a2 is isolated, and the
+# a1's one anchor lies across its bearing to a0, a2 is isolated, and the
 # a0-a2 link carries no intensity
 _SINGULAR_PEER = _topology(
+    [(0.0, 0.0), (1.0, 0.0), (3.0, 3.0), (1.0, 2.0), (0.0, 2.0), (-2.0, 0.0)],
+    3,
+    [(0, 1, 5.0), (1, 3, 2.0), (0, 4, 1.0), (0, 5, 1.0), (0, 2, 0.0)],
+)
+# the same with a1's one anchor on its bearing to a0, at angle pi from a1:
+# a1 is singular across the bearing, up to rounding in the angles
+_ANCHOR_ON_BEARING = _topology(
     [(0.0, 0.0), (1.0, 0.0), (3.0, 3.0), (2.0, 0.0), (0.0, 2.0), (-2.0, 0.0)],
     3,
     [(0, 1, 5.0), (1, 3, 2.0), (0, 4, 1.0), (0, 5, 1.0), (0, 2, 0.0)],
@@ -76,6 +84,7 @@ _ANISOTROPIC = _topology(
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(topo=_networks())
 @example(topo=_SINGULAR_PEER)
+@example(topo=_ANCHOR_ON_BEARING)
 @example(topo=_ANISOTROPIC)
 def test_array_spebs_equal_the_objects(topo):
     net = build_efim(topo)
@@ -98,6 +107,20 @@ def test_examples_hold_their_corner_cases():
     assert math.isinf(upper[2]) and math.isinf(lower[2])  # the isolated agent
     upper, lower = bound_spebs(build_efim(_ANISOTROPIC))
     assert math.isfinite(lower[0])
+
+
+def test_a_peer_singular_across_the_bearing_still_cooperates():
+    """Rounding in the bearings (about 1e-16 rad) must not make a peer whose
+    anchor lies on the bearing read as singular across it, which would drop
+    the link from J_L and J_U and put the lower SPEB above the exact one."""
+    net = build_efim(_ANCHOR_ON_BEARING)
+    coeffs = efim_bounds_all(net)["a0"][2]
+    assert coeffs.singular_peers == (False,)
+    assert coeffs.xi_l[0] > 0.0
+    upper, lower = bound_spebs(net)
+    exact = speb_blocks(net.agent_info)
+    # a0 and a1 form a two-agent network, where the bounds are exact
+    assert lower[0] == upper[0] == pytest.approx(exact[0], rel=1e-12)
 
 
 def _faulting_net(priors):

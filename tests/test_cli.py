@@ -213,6 +213,32 @@ _REJECTED_NETWORKS = {
 }
 
 
+# Documents holding a number beyond float range (NUMBER), each with the error
+# it gives; a 401-digit integer there reads as its float twin 1e400 does.
+_PULSE_W = '"waveforms": {"w": {"pulse_file": "pulse.txt"}}'
+_BEYOND_FLOAT_RANGE = {
+    "rii": (
+        '{"nodes": %s, "links": [{"from": "u", "to": "A", "rii": NUMBER}]}' % _NODES,
+        "network/links/0: rii must be finite and nonnegative",
+    ),
+    "delay": (
+        '{"nodes": %s, "links": [{"from": "u", "to": "A", "waveform": "w",'
+        ' "channel": {"delays_s": [1e-8, NUMBER], "amplitudes": [1, 1]}}]}, %s'
+        % (_NODES, _PULSE_W),
+        "network/links/0: delays and amplitudes must be finite",
+    ),
+    "position": (
+        '{"nodes": [{"id": "u", "kind": "agent", "position": [-NUMBER, 0]}]}',
+        "network/nodes/0: position must be a finite 2-vector",
+    ),
+    "distance": (
+        '{"nodes": %s, "links": [{"from": "u", "to": "A", "rii": 1.0, "distance_m": NUMBER}]}'
+        % _NODES,
+        "network/links/0: distance override must be finite and positive",
+    ),
+}
+
+
 # Link faults the batched resolution must report at their own link, each
 # with its message: (link entry, message at the start of the error).
 _LINK_FAULTS = {
@@ -263,6 +289,22 @@ _LINK_FAULTS = {
     "pathloss_underflow": (
         {"from": "u", "to": "A", "pathloss": {"b": 2.0}, "distance_m": 1e-200},
         "path-loss power d^(2b) = 1e-200^4.0 is out of float range",
+    ),
+    # MultipathChannel's checks, run on each pulse's flat channel arrays
+    "mismatched_channel": (
+        {"from": "u", "to": "A", "waveform": "w",
+         "channel": {"delays_s": [1e-8, 1.5e-8], "amplitudes": [1.0]}},
+        "need L >= 1 delays with matching amplitudes",
+    ),
+    "nan_amplitude": (
+        {"from": "u", "to": "A", "waveform": "w",
+         "channel": {"delays_s": [1e-8, 1.5e-8], "amplitudes": [1.0, float("nan")]}},
+        "delays and amplitudes must be finite",
+    ),
+    "infinite_delay": (
+        {"from": "u", "to": "A", "waveform": "w",
+         "channel": {"delays_s": [1e-8, float("inf")], "amplitudes": [1.0, 0.5]}},
+        "delays and amplitudes must be finite",
     ),
 }
 _LONG_CHANNEL = _LINK_FAULTS["long_window"][0]["channel"]
@@ -325,6 +367,37 @@ class TestBoundsCommand:
         payload = json.loads(capsys.readouterr().out)
         for agent in payload["agents"]:
             assert agent["speb_lower_m2"] <= agent["speb_m2"] <= agent["speb_upper_m2"]
+
+    def test_peer_anchored_on_the_bearing_keeps_the_sandwich(self, tmp_path, capsys):
+        """v's one anchor A lies on its bearing to u, so v is singular across
+        that bearing only up to rounding in the angles (about 1e-16 rad):
+        the u-v link still counts in both bounds, and u's exact SPEB stays
+        between them (it read 0.868 against lower = upper = 1.5)."""
+        doc = {
+            "version": 1,
+            "network": {
+                "nodes": [
+                    {"id": "u", "kind": "agent", "position": [0.0, 0.0]},
+                    {"id": "v", "kind": "agent", "position": [1.0, 0.0]},
+                    {"id": "w", "kind": "agent", "position": [5.0, 5.0]},
+                    {"id": "A", "kind": "anchor", "position": [2.0, 0.0]},
+                    {"id": "B", "kind": "anchor", "position": [0.0, 3.0]},
+                ],
+                "links": [
+                    {"from": "u", "to": "A", "rii": 1.0},
+                    {"from": "u", "to": "B", "rii": 2.0},
+                    {"from": "v", "to": "A", "rii": 3.0},
+                    {"from": "u", "to": "v", "rii": 4.0},
+                ],
+            },
+        }
+        code = main(["bounds", write_config(tmp_path, doc), "--format", "json"])
+        assert code == 0
+        u = json.loads(capsys.readouterr().out)["agents"][0]
+        # u and v form a two-agent network, where the bounds are exact
+        assert u["speb_lower_m2"] == u["speb_upper_m2"]
+        assert u["speb_lower_m2"] == pytest.approx(u["speb_m2"], rel=1e-12)
+        assert u["speb_m2"] == pytest.approx(33.0 / 38.0, rel=1e-12)
 
     def test_weak_direction_beside_a_strong_link(self, tmp_path, capsys):
         """u1's y information is 1e-4 next to a 1e6 link along y to u2, whose
@@ -661,6 +734,24 @@ class TestConfigLoading:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("command", ["speb", "bounds"])
+    @pytest.mark.parametrize("case", sorted(_BEYOND_FLOAT_RANGE))
+    def test_integer_beyond_float_range_reads_as_its_float_twin(
+        self, tmp_path, capsys, command, case
+    ):
+        write_pulse(tmp_path)
+        network, message = _BEYOND_FLOAT_RANGE[case]
+        errors = []
+        for number in ("1" + "0" * 400, "1e400"):
+            path = tmp_path / "config.json"
+            path.write_text('{"version": 1, "network": %s}' % network.replace("NUMBER", number))
+            assert main([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {message}")
+
     @pytest.mark.parametrize("value", ["1e400", "NaN"])
     def test_non_finite_sweep_entry_is_config_error(self, tmp_path, capsys, value):
         path = tmp_path / "config.json"
@@ -737,6 +828,57 @@ class TestConfigLoading:
             at += len(chunk)
             del shapes[:size]
         assert at == len(own)
+
+    def test_nlos_and_los_channels_on_one_pulse(self, tmp_path):
+        """NLOS channels (no channel prior, intensity 0) between LOS ones on
+        one pulse: every link's intensity is its scalar reference's."""
+        write_pulse(tmp_path)
+        w = load_pulse_file(str(tmp_path / "pulse.txt"))
+        doc = _fault_document([])
+        links = doc["network"]["links"]
+        channels = [
+            {"delays_s": [1e-8], "amplitudes": [0.8], "los": False},
+            {"delays_s": [1e-8, 1.4e-8], "amplitudes": [1.0, -0.6], "los": True},
+            {"delays_s": [2e-8, 2.2e-8, 9e-8], "amplitudes": [0.5, 0.4, 0.9], "los": False},
+            {"delays_s": [3e-8, 3.5e-8], "amplitudes": [0.9, 0.3]},
+        ]
+        links += [dict(links[0], channel=ch) for ch in channels]
+        topology = load_config(write_config(tmp_path, doc)).topology
+        want = [
+            rii_no_prior(
+                w,
+                MultipathChannel(
+                    link["channel"]["delays_s"],
+                    link["channel"]["amplitudes"],
+                    los=link["channel"].get("los", True),
+                ),
+            )
+            for link in links
+            if "channel" in link
+        ]
+        got = [rii for rii, link in zip(topology.rii.tolist(), links) if "channel" in link]
+        assert got == want
+        assert [v == 0.0 for v in got] == [False, True, False, True, False]
+
+    def test_valid_waveform_config_builds_no_channel_objects(self, tmp_path, monkeypatch):
+        """Waveform links resolve from flat arrays: a valid config builds no
+        ``MultipathChannel``, not even to explain a link."""
+        built = []
+        post_init = MultipathChannel.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MultipathChannel, "__post_init__", counting)
+        write_pulse(tmp_path)
+        doc = _fault_document([])
+        doc["network"]["links"].append(dict(doc["network"]["links"][0], channel=_LONG_CHANNEL))
+        topology = load_config(write_config(tmp_path, doc)).topology
+        assert built == []
+        assert np.all(topology.rii > 0.0)
+        MultipathChannel([0.0], [1.0])  # the spy counts what it should
+        assert len(built) == 1
 
     def test_import_leaves_jsonschema_and_scipy_stats_unloaded(self):
         """Both cost start-up time and are needed only to explain a rejected

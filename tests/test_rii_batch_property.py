@@ -2,7 +2,9 @@
 references: ``rii_no_prior_batch`` against ``rii_no_prior`` and
 ``rii_pathloss_batch`` against ``rii_pathloss``, bit for bit, failures
 included (the first failing input raises the same error class and
-message)."""
+message), and ``first_channel_fault`` against ``MultipathChannel``."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from locbounds.ranging import (
     MultipathChannel,
     WaveformModel,
+    first_channel_fault,
     gaussian_pulse,
     rii_no_prior,
     rii_no_prior_batch,
@@ -92,6 +95,44 @@ def test_waveform_batch_matches_rii_no_prior(batch):
     good = [ch for ch, r in zip(channels, one) if not isinstance(r, Exception)]
     want = np.concatenate([r for r in one if not isinstance(r, Exception)] + [np.zeros(0)])
     _assert_same(lambda: rii_no_prior_batch(pulse, good), want)
+
+
+@st.composite
+def _raw_channels(draw):
+    """Delay and amplitude lists as a config gives them: nondecreasing
+    delays with as many amplitudes, but now and then the lengths differ
+    (or are 0), an entry is NaN or infinite, or two delays fall."""
+    n = draw(st.integers(1, 4))
+    delays = sorted(draw(st.lists(st.floats(0.0, 1e-7), min_size=n, max_size=n)))
+    amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    fault = draw(st.integers(0, 9))
+    if fault == 0:
+        amps = amps[: draw(st.integers(0, n - 1))] if draw(st.booleans()) else amps + [1.0]
+    elif fault == 1:
+        column = delays if draw(st.booleans()) else amps
+        column[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif fault == 2 and n > 1:
+        delays.reverse()
+    return delays, amps
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(channels=st.lists(_raw_channels(), min_size=1, max_size=6))
+def test_channel_checks_match_multipath_channel(channels):
+    want = None
+    for k, (delays, amps) in enumerate(channels):
+        try:
+            MultipathChannel(delays, amps)
+        except ValueError as exc:
+            want = (k, str(exc))
+            break
+    got = first_channel_fault(
+        np.array([d for delays, _ in channels for d in delays], dtype=float),
+        np.array([a for _, amps in channels for a in amps], dtype=float),
+        [len(delays) for delays, _ in channels],
+        [len(amps) for _, amps in channels],
+    )
+    assert got == want
 
 
 @st.composite

@@ -333,6 +333,19 @@ CORNER_DOCS = [
     ("experiment_summary", {"kind": "fig7", "seed": 1.0, "sweep": (1, 2)}),
     ("experiment_summary", {"kind": "fig7", "seed": True}),
     ("experiment_summary", {"kind": "fig7", "seed": 0, "anything": [math.nan]}),
+    # links matching 1, 2 or 3 oneOf branches, the second match of
+    # waveform-channel with pathloss only in the last branch
+    ("config", _config_with({"channel": {"delays_s": [0], "amplitudes": [1]}})),
+    ("config", _config_with({"rii": 1.0, "waveform": "w",
+                             "channel": {"delays_s": [0], "amplitudes": [1]}})),
+    ("config", _config_with({"waveform": "w", "channel": {"delays_s": [0], "amplitudes": [1]},
+                             "pathloss": {"b": 1.0}})),
+    ("config", _config_with({"rii": 1.0, "waveform": "w", "pathloss": {"b": 1.0},
+                             "channel": {"delays_s": [0], "amplitudes": [1]}})),
+    ("config", _config_with({"rii": 1.0, "waveform": "w", "pathloss": {"b": 0.0}})),
+    # a link that is no object fails on its type before its oneOf
+    ("config", {"version": 1, "network": {"nodes": copy.deepcopy(NODES), "links": [1]}}),
+    ("config", {"version": 1, "network": {"nodes": copy.deepcopy(NODES), "links": [["rii"]]}}),
 ]
 
 
@@ -342,6 +355,39 @@ def test_corner_documents(doc_path, name, doc):
     assert _compiled(name)(doc) is valid
     if not valid:
         assert_same_rejection(name, doc, doc_path)
+
+
+_ONE_REQUIRED = {"oneOf": [{"required": ["a"]}]}
+_REQUIRED_ONLY = {
+    "oneOf": [{"required": ["a"]}, {"title": "b, c", "required": ["b", "c"]}, {"required": ["d"]}]
+}
+_EMPTY_REQUIRED = {"oneOf": [{"required": []}, {"required": ["a"]}]}
+# not every branch only requires keys, so each branch runs
+_MIXED = {"oneOf": [{"required": ["a"]}, {"type": "object", "required": ["b"]}]}
+_GENERAL = {"oneOf": [{"type": "number"}, {"type": "string"}, {"minimum": 0}]}
+NON_OBJECTS = [None, True, 0, 1.5, "a", [], ["a"], [{"a": 1}]]
+OBJECTS = [{}, {"a": 1}, {"b": 1}, {"b": 1, "c": 1}, {"a": 1, "d": 1}, {"d": None, "e": 1},
+           {"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 1, "c": 1, "d": 1}, {"c": 1, "x": 1}]
+
+
+@pytest.mark.parametrize(
+    "schema, instance",
+    [({"required": ["a"]}, x) for x in NON_OBJECTS + OBJECTS]
+    + [(_ONE_REQUIRED, x) for x in NON_OBJECTS + OBJECTS]
+    + [(_REQUIRED_ONLY, x) for x in NON_OBJECTS + OBJECTS]
+    + [(_EMPTY_REQUIRED, x) for x in NON_OBJECTS + OBJECTS]
+    + [(_MIXED, x) for x in NON_OBJECTS + OBJECTS]
+    # 5 matches the first and (only) the last branch, "a" the last two
+    + [(_GENERAL, x) for x in [5, -1, "a", None, {}, [], True]],
+)
+def test_one_of_and_required_corners(schema, instance):
+    """``oneOf`` over branches that only require keys is decided from the
+    instance's keys, and any other ``oneOf`` stops at its second match:
+    both give jsonschema's verdict, on objects and on every other type."""
+    check = _compile(schema)
+    valid = jsonschema.Draft202012Validator(schema).is_valid(instance)
+    assert check(instance) is valid
+    assert check(copy.deepcopy(instance)) is valid  # a key set's verdict is kept once seen
 
 
 @pytest.mark.parametrize(
