@@ -34,7 +34,7 @@ from . import __version__
 from .bounds import bound_spebs
 # unused here; perfbench/layertrace.py traces this name as the bounds layer
 from .bounds import efim_bounds_all  # noqa: F401
-from .config import ConfigError, load_config, load_pulse_file, validate_output
+from .config import ConfigError, json_int, load_config, load_pulse_file, validate_output
 from .experiments import EXPERIMENT_KINDS, default_spec, run_experiment
 from .infogeo import UNLOCALIZABLE, dpeb, speb, speb_blocks, to_ellipse
 from .network import NetworkEfim, agent_efim, build_efim
@@ -373,7 +373,7 @@ def _cmd_rii(args) -> int:
         except OSError as exc:
             raise _InputError(str(exc)) from exc
     try:
-        channel_raw = json.loads(channel_text)
+        channel_raw = json.loads(channel_text, parse_int=json_int)
         channel = MultipathChannel(
             delays=np.array(channel_raw["delays_s"], dtype=float),
             amplitudes=np.array(channel_raw["amplitudes"], dtype=float),

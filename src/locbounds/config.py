@@ -10,8 +10,8 @@ they match. Intensities are resolved as arrays, with no per-link object:
 a waveform link's channel stays raw JSON until each pulse's channels are
 flattened into arrays, checked and resolved in one batched pass, and the
 path-loss links take one more; the links go to ``Topology.from_arrays``
-as arrays. An integer beyond float range reads as the infinity its float
-literal (``1e400``) parses to, so it is rejected with the same error.
+as arrays. ``json_int`` reads an integer beyond float range as the
+infinity its float twin (``1e400``) parses to: the same checks reject it.
 
 Config documents and produced outputs are checked against the published
 schemas by a checker compiled once per schema (``_compile``), which
@@ -56,6 +56,7 @@ from .ranging import (
 __all__ = [
     "ConfigError",
     "ConfigDoc",
+    "json_int",
     "load_config",
     "load_pulse_file",
     "load_schema",
@@ -69,6 +70,20 @@ class ConfigError(ValueError):
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{location}: {message}" if location else message)
         self.location = location
+
+
+def json_int(text: str):
+    """``parse_int`` for JSON documents: an integer beyond float range reads
+    as the infinity its float twin (``1e400``) parses to, others as ints."""
+    # 10^309 is beyond float range, and int() refuses over 4300 digits
+    if len(text.lstrip("-")) <= 309:
+        value = int(text)
+        try:
+            float(value)
+            return value
+        except OverflowError:
+            pass
+    return -math.inf if text.startswith("-") else math.inf
 
 
 def load_schema(name: str) -> dict:
@@ -128,21 +143,6 @@ def _all(checks: list[Check]) -> Check:
     return check
 
 
-def _one_of(branches: tuple[Check, ...]) -> Check:
-    """Exactly one branch holds; stops at the second that does."""
-
-    def check(x) -> bool:
-        matched = False
-        for branch in branches:
-            if branch(x):
-                if matched:
-                    return False
-                matched = True
-        return matched
-
-    return check
-
-
 def _one_of_required(required: list[frozenset]) -> Check:
     """``oneOf`` over branches that only require keys, decided from which of
     their keys an object has (one verdict per key subset, kept once seen);
@@ -166,7 +166,8 @@ def _one_of_required(required: list[frozenset]) -> Check:
 def _compile(schema, root=None, defs=None) -> Check:
     """Compile a JSON Schema (2020-12) built from the keywords the published
     schemas use into one accept/reject predicate with jsonschema's semantics;
-    any other keyword raises ``ValueError``. As in jsonschema, each keyword
+    any other keyword, or a ``oneOf`` branch that does more than require
+    keys, raises ``ValueError``. As in jsonschema, each keyword
     but ``type``, ``const``, ``enum`` and ``oneOf`` ignores instances of
     other types.
     """
@@ -240,10 +241,9 @@ def _compile(schema, root=None, defs=None) -> Check:
         )
     if "oneOf" in schema:
         options = schema["oneOf"]
-        if all(isinstance(s, dict) and s.keys() - _ANNOTATIONS == {"required"} for s in options):
-            checks.append(_one_of_required([frozenset(s["required"]) for s in options]))
-        else:
-            checks.append(_one_of(tuple(sub(s) for s in options)))
+        if not all(isinstance(s, dict) and s.keys() - _ANNOTATIONS == {"required"} for s in options):
+            raise ValueError("unsupported oneOf: a branch does more than require keys")
+        checks.append(_one_of_required([frozenset(s["required"]) for s in options]))
     return _all(checks) if checks else (lambda x: True)
 
 
@@ -291,7 +291,7 @@ def load_config(path: str) -> ConfigDoc:
     """Parse, schema-validate and resolve a configuration document."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=json_int)
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:
@@ -333,9 +333,9 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
             node = Node(
                 node_id=entry["id"],
                 kind=entry["kind"],
-                position=_floats(entry["position"]),
-                prior_info=_floats(prior["info"]) if prior else None,
-                prior_mean=_floats(prior["mean"]) if prior and "mean" in prior else None,
+                position=entry["position"],
+                prior_info=prior["info"] if prior else None,
+                prior_mean=prior.get("mean") if prior else None,
             )
         except ValueError as exc:
             raise ConfigError(str(exc), location=f"network/nodes/{i}") from exc
@@ -351,8 +351,8 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
             pulse_path = os.path.join(base_dir, pulse_path)
         waveforms[name] = load_pulse_file(
             pulse_path,
-            n0_half=_in_float_range(wf.get("n0_half", 1.0)),
-            c=_in_float_range(wf.get("c", SPEED_OF_LIGHT)),
+            n0_half=wf.get("n0_half", 1.0),
+            c=wf.get("c", SPEED_OF_LIGHT),
         )
 
     links = _resolve_links(network.get("links", []), index, positions, waveforms)
@@ -420,7 +420,7 @@ def _resolve_links(
     src, dst = np.array(ends[:n], dtype=np.intp).reshape(-1, 2).T
     rii = np.zeros(n)
     given = given[: bisect_left(given, n)]
-    rii[given] = _floats([entries[i]["rii"] for i in given])
+    rii[given] = np.array([entries[i]["rii"] for i in given], dtype=float)
 
     scalar: dict[int, Callable[[], float]] = {}  # links left to the scalar references
     for name, (at, _) in pulses.items():
@@ -440,11 +440,11 @@ def _resolve_links(
         d = positions[src[pathloss]] - positions[dst[pathloss]]
         distance[pathloss] = np.hypot(d[:, 0], d[:, 1])
         measured = [i for i in pathloss if "distance_m" in entries[i]]
-        distance[measured] = _floats([entries[i]["distance_m"] for i in measured])
+        distance[measured] = np.array([entries[i]["distance_m"] for i in measured], dtype=float)
         distance = distance[pathloss]
         models = [entries[i]["pathloss"] for i in pathloss]
         params = [
-            _floats(v)
+            np.array(v, dtype=float)
             for v in (
                 [m["b"] for m in models],
                 [m.get("z", 1.0) for m in models],
@@ -471,7 +471,7 @@ def _resolve_links(
         [math.inf if v != v else v for v in (entry.get(key) for entry in entries[:n])]
         for key in ("phi_rad", "distance_m")
     )
-    links = (src, dst, rii, *(_floats(v) for v in overrides))
+    links = (src, dst, rii, *(np.array(v, dtype=float) for v in overrides))
     first = first_link_fault(*(a[:checked] for a in links))
     if first is not None:
         raise ConfigError(first[1], location=f"network/links/{first[0]}")
@@ -486,8 +486,8 @@ def _channel_arrays(channels: list[dict]) -> tuple[np.ndarray, ...]:
     delays = [ch["delays_s"] for ch in channels]
     amps = [ch["amplitudes"] for ch in channels]
     return (
-        _floats(list(chain.from_iterable(delays))),
-        _floats(list(chain.from_iterable(amps))),
+        np.array(list(chain.from_iterable(delays)), dtype=float),
+        np.array(list(chain.from_iterable(amps)), dtype=float),
         np.fromiter(map(len, delays), dtype=np.intp, count=len(delays)),
         np.fromiter(map(len, amps), dtype=np.intp, count=len(amps)),
         np.array([ch.get("los", True) for ch in channels], dtype=bool),
@@ -499,29 +499,6 @@ def _pathloss_rii(d: float, b: float, z: float, r0: float, rmax: float) -> float
     if d <= 0.0:
         raise ValueError("path-loss link needs a positive distance")
     return rii_pathloss(d, b, z=z, r0=r0, rmax=rmax)
-
-
-def _floats(values) -> np.ndarray:
-    """``np.array(values, dtype=float)`` of JSON numbers (nested lists, None
-    for NaN), with an integer beyond float range read as the infinity of
-    its sign, as its float literal (``1e400``) parses."""
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:
-        return np.array(_in_float_range(values), dtype=float)
-
-
-def _in_float_range(value):
-    """A JSON number, or nested lists of them, with each integer beyond
-    float range replaced by the infinity of its sign."""
-    if isinstance(value, list):
-        return [_in_float_range(v) for v in value]
-    if type(value) is int:
-        try:
-            float(value)
-        except OverflowError:
-            return math.inf if value > 0 else -math.inf
-    return value
 
 
 def load_pulse_file(path: str, n0_half: float = 1.0, c: float = SPEED_OF_LIGHT) -> WaveformModel:

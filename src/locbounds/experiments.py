@@ -31,11 +31,7 @@ substreams' first Philox4x64-10 blocks (``_philox_first_block``, Salmon et
 al., SC'11): the same keys and the same bits as one ``substream`` generator
 per node. Link distances and intensities are arrays too; the extended
 draw's intensities come from ``rii_pathloss_batch``, bit for bit the
-values of ``rii_pathloss``. Repeat runs are byte-identical. Against
-releases that computed the dense intensities one link at a time,
-positions are bit-identical and an intensity may differ by up to 2 ulp:
-the squared distance is now rounded once (d * d) rather than by the
-platform's ``pow``.
+values of ``rii_pathloss``. Repeat runs are byte-identical.
 
 The Monte Carlo studies (fig6, fig7, fig8, dense and extended scaling)
 run one loop: at every sweep point and trial it draws a network as arrays
@@ -56,8 +52,8 @@ Per-agent exact bounds are the SPEBs of ``NetworkEfim.agent_info``: every
 agent's equivalent information from one recursive-halving Schur reduction,
 with per-agent pseudo-inverse reductions only when the total information
 may be singular, so one degenerate agent does not make the whole draw
-unlocalizable. Every SPEB applies ``infogeo.is_singular``, the
-package's one singularity rule.
+unlocalizable; anchors-only bounds are those of ``NetworkEfim.own_info``.
+Every SPEB is ``infogeo.speb_blocks``, under the one singularity rule.
 
 Outputs are CSV rows plus a JSON summary named ``<kind>_<seed>.csv/json``,
 written atomically (temp file + rename); the JSON holds null where a
@@ -75,7 +71,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 # unused here; perfbench/layertrace.py traces these names as the exact layer
@@ -515,9 +511,7 @@ def _per_agent_spebs(net: NetworkEfim) -> np.ndarray:
 
 def _noncoop_spebs(net: NetworkEfim) -> np.ndarray:
     """Anchor-only (plus prior) SPEB per agent."""
-    k = np.arange(net.n_agents)
-    base = (net.j_a + net.xi_p).reshape(net.n_agents, 2, net.n_agents, 2)
-    return speb_blocks(base[k, :, k, :])
+    return speb_blocks(net.own_info)
 
 
 class _Aggregate(NamedTuple):
@@ -907,15 +901,13 @@ def _fit_loglog(x: Sequence[float], y: Sequence[float]) -> dict:
     }
 
 
-def angle_pair_spread(phis: np.ndarray) -> float:
-    """Double angular spread sum_{k,j} sin^2(phi_k - phi_j).
-
-    Identity: equals (N^2 - |sum_k exp(2i phi_k)|^2) / 2.
-    """
+def angle_pair_spread(phis: np.ndarray):
+    """Double angular spread sum_{k,j} sin^2(phi_k - phi_j) of the angles on
+    the last axis, by the identity (N^2 - |sum_k exp(2i phi_k)|^2) / 2."""
     phis = np.asarray(phis, dtype=float)
-    n = phis.size
-    z = np.exp(2j * phis).sum()
-    return 0.5 * (n * n - float(abs(z)) ** 2)
+    n = phis.shape[-1]
+    z = np.exp(2j * phis).sum(axis=-1)
+    return 0.5 * (n * n - np.abs(z) ** 2)
 
 
 def lemma1_check(n: int, trials: int, seed: int) -> float:
@@ -928,9 +920,7 @@ def lemma1_check(n: int, trials: int, seed: int) -> float:
         raise ValueError("need n >= 2 and trials >= 1")
     rng = substream(seed, 0, _ROLE_DRAW)
     phis = rng.random((trials, n)) * 2.0 * math.pi
-    z = np.exp(2j * phis).sum(axis=1)
-    stats = 0.5 * (n * n - np.abs(z) ** 2)
-    return float(np.mean(stats < n * n / 32.0))
+    return float(np.mean(angle_pair_spread(phis) < n * n / 32.0))
 
 
 class Lemma2Result(NamedTuple):
@@ -939,34 +929,22 @@ class Lemma2Result(NamedTuple):
     eps: float
 
 
-def lemma2_check(
-    n: int,
-    lambda0: float,
-    trials: int,
-    seed: int,
-    sampler: Optional[Callable[[np.random.Generator, tuple[int, int]], np.ndarray]] = None,
-    eps: Optional[float] = None,
-) -> Lemma2Result:
+def lemma2_check(n: int, lambda0: float, trials: int, seed: int) -> Lemma2Result:
     """Empirical tail of the (N/2+1)-th intensity order statistic vs the
     closed bound (4 eps (1 - eps))^(N/2), eps = P{lambda <= lambda0}.
 
-    The default draw is uniform on [0, 1] (so eps = lambda0); custom
-    samplers must supply eps. Requires eps < 1/2 and even n.
+    The intensities are drawn uniform on [0, 1], so eps = lambda0.
+    Requires eps < 1/2 and even n.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be even and >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if sampler is None:
-        sampler = lambda rng, size: rng.random(size)
-        if eps is None:
-            eps = float(lambda0)
-    if eps is None:
-        raise ValueError("custom samplers must supply eps = P{lambda <= lambda0}")
+    eps = float(lambda0)
     if not 0.0 < eps < 0.5:
         raise ValueError("the bound requires 0 < eps < 1/2")
     rng = substream(seed, 0, _ROLE_DRAW)
-    draws = sampler(rng, (trials, n))
+    draws = rng.random((trials, n))
     order_stat = np.sort(draws, axis=1)[:, n // 2]  # the (N/2 + 1)-th smallest
     empirical = float(np.mean(order_stat <= lambda0))
     bound = (4.0 * eps * (1.0 - eps)) ** (n / 2.0)

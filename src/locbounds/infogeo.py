@@ -11,7 +11,9 @@ symmetric positive semi-definite information matrices (units 1/m^2):
   bounds trace(J^-1) and u^T J^-1 u; ``speb_blocks`` is ``speb`` over a
   stack of blocks (``min_eig_blocks`` gives their smallest eigenvalues),
   and ``is_singular`` is the one singularity rule all of them (and the
-  network reduction) apply;
+  network reduction) apply, with one ``np.hypot``. All three divide by
+  the determinant of the block scaled by the power of two of its trace:
+  exact, and a regular block's determinant stays in float range;
 - ``schur_reduce`` performs the equivalent-information reduction
   A - B C^-1 B^T on block matrices;
 - ``fuse_anchor`` applies the closed-form ellipse update for one extra
@@ -61,9 +63,8 @@ PSD_TOL = 1e-9
 class Unlocalizable(float):
     """Tagged infinite error bound.
 
-    Compares and computes like ``math.inf`` but is a distinct type, so
-    experiment code can count outage events explicitly instead of testing
-    for a bare float infinity.
+    Compares and computes like ``math.inf`` but is a distinct type, so a
+    caller holding one ``speb``/``dpeb`` value can test for it by identity.
     """
 
     __slots__ = ()
@@ -144,9 +145,10 @@ class InfoMatrix2:
         return self.a11 * self.a22 - self.a12 * self.a12
 
     def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues (largest first) from the closed 2x2 form."""
+        """Eigenvalues (largest first) from the closed 2x2 form, with the
+        hypot of ``min_eig_blocks`` so both give one singularity verdict."""
         half_tr = 0.5 * (self.a11 + self.a22)
-        disc = math.hypot(0.5 * (self.a11 - self.a22), self.a12)
+        disc = float(np.hypot(0.5 * (self.a11 - self.a22), self.a12))
         return half_tr + disc, half_tr - disc
 
     def __add__(self, other: "InfoMatrix2") -> "InfoMatrix2":
@@ -254,17 +256,24 @@ def is_singular(trace, eig_min):
     return eig_min <= PSD_TOL * 0.5 * (trace + abs(trace))
 
 
+def _unit_scaled(j: InfoMatrix2) -> tuple[InfoMatrix2, int]:
+    """The block times 2^-e, exactly, and e, the binary exponent of its
+    trace: a regular block's determinant then stays in float range."""
+    e = math.frexp(j.trace)[1]
+    return InfoMatrix2(*(math.ldexp(v, -e) for v in (j.a11, j.a12, j.a22))), e
+
+
 def speb(j: InfoMatrix2) -> float:
     """Squared position error bound trace(J^-1) = 1/mu + 1/eta.
 
     Returns ``UNLOCALIZABLE`` when the matrix is singular within tolerance
     (rank-deficient information cannot bound the error).
     """
-    tr = j.trace
     _, eig_min = j.eigenvalues()
-    if is_singular(tr, eig_min):
+    if is_singular(j.trace, eig_min):
         return UNLOCALIZABLE
-    return tr / j.det
+    s, e = _unit_scaled(j)
+    return math.ldexp(s.trace / s.det, -e)
 
 
 def min_eig_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -280,8 +289,11 @@ def speb_blocks(blocks: np.ndarray) -> np.ndarray:
     a11, a12, a22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
     tr = a11 + a22
     singular = is_singular(tr, min_eig_blocks(blocks))
+    # speb's scaling by the power of two of the trace, block by block
+    e = np.frexp(tr)[1]
+    a11, a12, a22 = (np.ldexp(v, -e) for v in (a11, a12, a22))
     det = np.where(singular, 1.0, a11 * a22 - a12 * a12)
-    return np.where(singular, math.inf, tr / det)
+    return np.where(singular, math.inf, np.ldexp((a11 + a22) / det, -e))
 
 
 def dpeb(j: InfoMatrix2, u: Sequence[float]) -> float:
@@ -294,9 +306,10 @@ def dpeb(j: InfoMatrix2, u: Sequence[float]) -> float:
     _, eig_min = j.eigenvalues()
     if is_singular(j.trace, eig_min):
         return UNLOCALIZABLE
-    # Closed 2x2 inverse: J^-1 = adj(J) / det.
-    quad = j.a22 * u[0] * u[0] - 2.0 * j.a12 * u[0] * u[1] + j.a11 * u[1] * u[1]
-    return quad / j.det
+    # Closed 2x2 inverse J^-1 = adj(J) / det, on speb's scaled block.
+    s, e = _unit_scaled(j)
+    quad = s.a22 * u[0] * u[0] - 2.0 * s.a12 * u[0] * u[1] + s.a11 * u[1] * u[1]
+    return math.ldexp(quad / s.det, -e)
 
 
 def rotate(j: InfoMatrix2, angle: float) -> InfoMatrix2:
@@ -309,11 +322,7 @@ def rotate(j: InfoMatrix2, angle: float) -> InfoMatrix2:
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """Symmetric matrix of 2x2 blocks, addressed by block indices.
-
-    Wraps a read-only (2n, 2n) array; ``block(k, m)`` returns the (k, m)
-    block, which equals the transpose of block (m, k).
-    """
+    """Symmetric matrix of 2x2 blocks: a read-only (2n, 2n) array."""
 
     array: np.ndarray
 
@@ -331,12 +340,6 @@ class BlockMatrix:
     @property
     def n_blocks(self) -> int:
         return self.array.shape[0] // 2
-
-    def block(self, k: int, m: int) -> np.ndarray:
-        return self.array[2 * k : 2 * k + 2, 2 * m : 2 * m + 2].copy()
-
-    def diagonal_block(self, k: int) -> InfoMatrix2:
-        return InfoMatrix2.from_array(self.block(k, k))
 
 
 def _expand_block_indices(blocks: Sequence[int], n_blocks: int) -> np.ndarray:
@@ -434,8 +437,11 @@ def fuse_anchor(e: EllipseForm, nu: float, phi: float) -> tuple[EllipseForm, flo
     theta_new = theta + 0.5 * math.atan2(nu * sin2, mu - eta + nu * cos2)
     updated = EllipseForm(mu_new, max(eta_new, 0.0), theta_new)
 
+    # the bound on the scaled values, as in speb
+    scale = math.frexp(mu + eta + nu)[1]
+    mu, eta, nu = (math.ldexp(v, -scale) for v in (mu, eta, nu))
     denom = mu * eta + nu * (eta + (mu - eta) * math.sin(phip) ** 2)
     total = mu + eta + nu
     if denom <= PSD_TOL * max(total, 0.0) ** 2:
         return updated, UNLOCALIZABLE
-    return updated, total / denom
+    return updated, math.ldexp(total / denom, -scale)

@@ -61,7 +61,7 @@ from .infogeo import (
     schur_reduce,
     speb_blocks,
 )
-from .ranging import RangingLink
+from .ranging import RangingLink, first_fault
 
 __all__ = [
     "Node",
@@ -146,11 +146,7 @@ def first_link_fault(src, dst, rii, phi, distance) -> Optional[tuple[int, str]]:
         (np.isinf(phi), "phi override must be finite"),
         (np.isinf(distance) | (distance <= 0.0), "distance override must be finite and positive"),
     )
-    fails = np.array([mask for mask, _ in checks]).reshape(len(checks), -1)
-    at = np.flatnonzero(fails.any(axis=0))
-    if not at.size:
-        return None
-    return int(at[0]), checks[int(np.argmax(fails[:, at[0]]))][1]
+    return first_fault(checks)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -350,6 +346,15 @@ class NetworkEfim:
             n, k = self.n_agents, np.arange(self.n_agents)
             own_regular = np.isfinite(speb_blocks(self.j_a.reshape(n, 2, n, 2)[k, :, k, :]))
             blocks = _drop_singular(blocks, np.where(own_regular, 0.0, total.shape[0] * error))
+        blocks.flags.writeable = False
+        return blocks
+
+    @cached_property
+    def own_info(self) -> np.ndarray:
+        """Every agent's own (anchor plus prior) block of j_a + xi_p, an
+        (n_agents, 2, 2) stack."""
+        n, k = self.n_agents, np.arange(self.n_agents)
+        blocks = (self.j_a + self.xi_p).reshape(n, 2, n, 2)[k, :, k, :]
         blocks.flags.writeable = False
         return blocks
 

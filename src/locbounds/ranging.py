@@ -24,8 +24,10 @@ delay/amplitude parameters:
   intensities for many links at once, bit for bit, with the scalar
   functions as their references; ``rii_no_prior_flat`` reads channels as
   flat arrays (the config loader's form, checked by
-  ``first_channel_fault`` with ``MultipathChannel``'s messages), and
-  ``rii_no_prior_batch`` flattens ``MultipathChannel`` objects into it.
+  ``first_channel_fault`` with ``MultipathChannel``'s messages) and reads
+  NaN where its scalar reference must decide; ``first_fault`` reports the
+  first element failing a sequence of check masks, for the channel checks
+  and ``network.first_link_fault``.
 
 Unit audit: delays tau are seconds and distances meters, so the scaled
 amplitude coordinate alpha/c makes every entry of the Psi matrix carry 1/s^2
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -64,9 +66,9 @@ __all__ = [
     "psi_matrix",
     "path_overlap_chi",
     "first_contiguous_cluster",
+    "first_fault",
     "first_channel_fault",
     "rii_no_prior",
-    "rii_no_prior_batch",
     "rii_no_prior_flat",
     "rii_with_channel_prior",
     "known_los_bias_prior",
@@ -95,7 +97,7 @@ _CHI_CLAMP_TOL = 1e-6
 # Longest observation window (samples) a link may need.
 _MAX_WINDOW_SAMPLES = 20_000_000
 
-# Most grid samples (links x padded window) ``rii_no_prior_batch`` builds at
+# Most grid samples (links x padded window) ``rii_no_prior_flat`` builds at
 # once: its 2L + 4 working arrays of that size stay under 400 KiB for L = 4,
 # so batching adds no peak memory (larger chunks were no faster).
 _BATCH_SAMPLES = 1 << 12
@@ -198,9 +200,8 @@ def gaussian_pulse(
     span: float = 8.0,
     n0_half: float = 1.0,
     c: float = SPEED_OF_LIGHT,
-    unit_energy: bool = True,
 ) -> WaveformModel:
-    """Gaussian pulse with RMS energy width ``sigma`` seconds.
+    """Unit-energy Gaussian pulse with RMS energy width ``sigma`` seconds.
 
     The sampled shape is exp(-t^2 / (4 sigma^2)), whose energy density has
     standard deviation sigma; its effective bandwidth is 1 / (4 pi sigma).
@@ -210,8 +211,7 @@ def gaussian_pulse(
     dt = sigma / 32.0 if dt is None else dt
     t = np.arange(-span * sigma, span * sigma + 0.5 * dt, dt)
     s = np.exp(-(t**2) / (4.0 * sigma**2))
-    if unit_energy:
-        s = s / math.sqrt(float(np.trapezoid(s**2, dx=dt)))
+    s = s / math.sqrt(float(np.trapezoid(s**2, dx=dt)))
     return WaveformModel(samples=s, dt=dt, n0_half=n0_half, c=c, t0=float(t[0]))
 
 
@@ -259,9 +259,17 @@ class MultipathChannel:
     def n_paths(self) -> int:
         return self.delays.size
 
-    def biases(self, c: float) -> np.ndarray:
-        """Range biases c*(tau_l - tau_1) in meters (first is 0 for LOS)."""
-        return c * (self.delays - self.delays[0])
+
+def first_fault(checks) -> Optional[tuple[int, str]]:
+    """(index, message) of the first element that fails any of ``checks``,
+    with the message of the first check it fails; None if none fails.
+    ``checks`` is a sequence of (mask, message) pairs over the same
+    elements, each mask True where an element fails that check."""
+    fails = np.array([mask for mask, _ in checks]).reshape(len(checks), -1)
+    at = np.flatnonzero(fails.any(axis=0))
+    if not at.size:
+        return None
+    return int(at[0]), checks[int(np.argmax(fails[:, at[0]]))][1]
 
 
 def first_channel_fault(delays, amplitudes, n_delays, n_amplitudes) -> Optional[tuple[int, str]]:
@@ -292,11 +300,7 @@ def first_channel_fault(delays, amplitudes, n_delays, n_amplitudes) -> Optional[
         ),
         (any_per_channel(falling, d_end, n_delays), "delays must be nondecreasing"),
     )
-    fails = np.array([mask for mask, _ in checks]).reshape(len(checks), -1)
-    at = np.flatnonzero(fails.any(axis=0))
-    if not at.size:
-        return None
-    return int(at[0]), checks[int(np.argmax(fails[:, at[0]]))][1]
+    return first_fault(checks)
 
 
 @dataclass(frozen=True)
@@ -502,23 +506,6 @@ def rii_no_prior(w: WaveformModel, ch: MultipathChannel) -> float:
     return float(psi.array[0, 0]) * (1.0 - chi) / w.c**2
 
 
-def rii_no_prior_batch(w: WaveformModel, channels: Sequence[MultipathChannel]) -> np.ndarray:
-    """``rii_no_prior`` of every channel, bit for bit: ``rii_no_prior_flat``
-    on the channels' concatenated arrays, then ``rii_no_prior`` itself on
-    each channel the batch leaves unresolved, in order, so the first failing
-    channel raises exactly what a one-at-a-time loop raises."""
-    rii = rii_no_prior_flat(
-        w,
-        np.concatenate([np.empty(0)] + [ch.delays for ch in channels]),
-        np.concatenate([np.empty(0)] + [ch.amplitudes for ch in channels]),
-        [ch.n_paths for ch in channels],
-        [ch.los for ch in channels],
-    )
-    for i in np.flatnonzero(np.isnan(rii)).tolist():
-        rii[i] = rii_no_prior(w, channels[i])
-    return rii
-
-
 def rii_no_prior_flat(w: WaveformModel, delays, amplitudes, sizes, los) -> np.ndarray:
     """``rii_no_prior`` of many channels in one batched pass, bit for bit,
     NaN where the batch leaves a channel unresolved.
@@ -662,17 +649,17 @@ def rii_with_channel_prior(psi: PsiMatrix, prior: ChannelPriorBlocks) -> float:
     return max(lam, 0.0)
 
 
-def known_los_bias_prior(psi: PsiMatrix, factor: float = KNOWN_BIAS_INFO_FACTOR) -> ChannelPriorBlocks:
+def known_los_bias_prior(psi: PsiMatrix) -> ChannelPriorBlocks:
     """Prior blocks expressing an exactly known first-path bias (LOS).
 
     The infinite Fisher information of the known bias is stood in for by
-    t^2 = ``factor`` times the mean diagonal of Psi expressed in distance
-    units; all other blocks are zero.
+    t^2 = ``KNOWN_BIAS_INFO_FACTOR`` times the mean diagonal of Psi
+    expressed in distance units; all other blocks are zero.
     """
     n = psi.array.shape[0]
     scale = float(np.trace(psi.array)) / (n * psi.c**2)
     xi_kk = np.zeros((n, n))
-    xi_kk[0, 0] = factor * max(scale, 1.0 / psi.c**2)
+    xi_kk[0, 0] = KNOWN_BIAS_INFO_FACTOR * max(scale, 1.0 / psi.c**2)
     return ChannelPriorBlocks(xi_dd=0.0, xi_dk=np.zeros(n), xi_kk=xi_kk)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -625,6 +626,20 @@ class TestRiiCommand:
         )
         assert code == 1
 
+    def test_channel_integer_beyond_float_range_reads_as_its_float_twin(self, tmp_path, capsys):
+        pulse = write_pulse(tmp_path)
+        errors = []
+        for number in ("1" + "0" * 400, "1e400"):
+            channel = '{"delays_s": [1e-8, %s], "amplitudes": [1, 1]}' % number
+            assert main(["rii", "--pulse", pulse, "--channel", channel]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0] == (
+            "error: bad --channel specification: delays and amplitudes must be finite\n"
+        )
+
     def test_channel_from_file(self, tmp_path, capsys):
         pulse = write_pulse(tmp_path)
         channel = tmp_path / "channel.json"
@@ -742,15 +757,45 @@ class TestConfigLoading:
         write_pulse(tmp_path)
         network, message = _BEYOND_FLOAT_RANGE[case]
         errors = []
-        for number in ("1" + "0" * 400, "1e400"):
+        # past 4300 digits Python's int() refuses the literal
+        for number in ("1" + "0" * 400, "1" + "0" * 5000, "1e400"):
             path = tmp_path / "config.json"
             path.write_text('{"version": 1, "network": %s}' % network.replace("NUMBER", number))
             assert main([command, str(path)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             errors.append(captured.err)
-        assert errors[0] == errors[1]
+        assert errors[0] == errors[1] == errors[2]
         assert errors[0].startswith(f"error: {message}")
+
+    def test_experiment_field_beyond_float_range_reads_as_its_float_twin(self, tmp_path, capsys):
+        errors = []
+        out = tmp_path / "out"
+        for number in ("1" + "0" * 400, "1e400"):
+            path = tmp_path / "config.json"
+            path.write_text(
+                '{"version": 1, "experiment": {"kind": "fig7", "trials": 2, "side": %s}}' % number
+            )
+            assert main(["experiment", "fig7", "--config", str(path), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == "error: experiment: side must be finite\n"
+        assert not out.exists()
+
+    def test_integer_field_beyond_float_range_fails_the_schema(self, tmp_path, capsys):
+        """A 401-digit seed reads as inf, which is no integer: the document
+        is rejected before any study runs."""
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"version": 1, "experiment": {"kind": "fig7", "trials": 2, "seed": 1%s}}' % ("0" * 400)
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "fig7", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: experiment/seed: inf is not of type 'integer'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e400", "NaN"])
     def test_non_finite_sweep_entry_is_config_error(self, tmp_path, capsys, value):
@@ -931,3 +976,80 @@ class TestConfigLoading:
                 assert got.value.message == expected.value.message
                 assert list(got.value.absolute_path) == list(expected.value.absolute_path)
                 assert list(got.value.schema_path) == list(expected.value.schema_path)
+
+
+def _with_rii(doc, rii_of):
+    """``doc`` with every link intensity r replaced by ``rii_of(r)``."""
+    doc = copy.deepcopy(doc)
+    for link in doc["network"]["links"]:
+        link["rii"] = rii_of(link["rii"])
+    return doc
+
+
+def _agents(tmp_path, capsys, command, doc):
+    """The ``agents`` records of ``command``'s JSON output on ``doc``."""
+    extra = ["--dpeb-deg", "30"] if command == "speb" else []
+    assert main([command, write_config(tmp_path, doc), "--format", "json", *extra]) == 0
+    return json.loads(capsys.readouterr().out)["agents"]
+
+
+class TestIntensityScale:
+    """Bounds are inverse information: intensities times 2^k give every
+    SPEB, DPEB and bound times 2^-k, exactly, also where the determinant of
+    the information (intensity squared) leaves float range."""
+
+    @pytest.mark.parametrize("k", [-560, 520])
+    @pytest.mark.parametrize("config", ["one_agent", "two_agent"])
+    def test_bounds_scale_exactly(self, tmp_path, capsys, config, k):
+        doc = {"one_agent": TOY_CONFIG, "two_agent": TWO_AGENT_CONFIG}[config]
+        scaled = _with_rii(doc, lambda r: math.ldexp(r, k))
+        inverse = lambda v: math.ldexp(v, -k)  # noqa: E731
+        for want, got in zip(*(_agents(tmp_path, capsys, "speb", d) for d in (doc, scaled))):
+            assert got["localizable"] and want["localizable"]
+            assert got["speb_m2"] == inverse(want["speb_m2"])
+            assert [d["value_m2"] for d in got["dpeb"]] == [
+                inverse(d["value_m2"]) for d in want["dpeb"]
+            ]
+            ellipse, base = got["ellipse"], want["ellipse"]
+            assert ellipse["mu_inv_m2"] == math.ldexp(base["mu_inv_m2"], k)
+            assert ellipse["eta_inv_m2"] == math.ldexp(base["eta_inv_m2"], k)
+            assert ellipse["theta_rad"] == base["theta_rad"]
+        for want, got in zip(*(_agents(tmp_path, capsys, "bounds", d) for d in (doc, scaled))):
+            assert got["localizable"] and want["localizable"]
+            for key in ("speb_m2", "speb_lower_m2", "speb_upper_m2"):
+                assert got[key] == inverse(want[key])
+            assert got["ratio"] == want["ratio"]
+
+    @pytest.mark.parametrize("rii", [1e-170, 1e160])
+    def test_one_agent_at_an_extreme_intensity(self, tmp_path, capsys, rii):
+        """Two orthogonal anchor links of intensity rii give SPEB 2/rii. At
+        1e-170, ``speb`` raised ZeroDivisionError and ``bounds`` called the
+        agent unlocalizable; at 1e160 ``speb`` printed 0.0 and ``bounds``
+        raised."""
+        doc = _with_rii(TOY_CONFIG, lambda r: rii)
+        (speb_record,) = _agents(tmp_path, capsys, "speb", doc)
+        assert speb_record["speb_m2"] == pytest.approx(2.0 / rii, rel=1e-12)
+        (bounds_record,) = _agents(tmp_path, capsys, "bounds", doc)
+        assert bounds_record["localizable"]
+        assert bounds_record["speb_m2"] == speb_record["speb_m2"]
+        assert bounds_record["speb_lower_m2"] == bounds_record["speb_upper_m2"]
+        assert bounds_record["ratio"] == 1.0
+
+
+def test_prior_at_the_singularity_threshold_gets_one_verdict(tmp_path, capsys):
+    """An agent whose only information is a prior with its smallest
+    eigenvalue at the threshold: ``speb`` called it unlocalizable while
+    ``bounds`` gave 6.39e8 m^2, from two hypots that differ in the last bit.
+    Both commands now give one verdict and one value."""
+    info = [[0.5664106314200583, 0.7520865299290137], [0.7520865299290137, 0.9986291209469409]]
+    doc = {
+        "version": 1,
+        "network": {
+            "nodes": [{"id": "a0", "kind": "agent", "position": [0, 0], "prior": {"info": info}}]
+        },
+    }
+    (speb_record,) = _agents(tmp_path, capsys, "speb", doc)
+    (bounds_record,) = _agents(tmp_path, capsys, "bounds", doc)
+    assert speb_record["localizable"] is bounds_record["localizable"]
+    assert speb_record["speb_m2"] == bounds_record["speb_m2"]
+    assert bounds_record["speb_lower_m2"] == bounds_record["speb_upper_m2"] == speb_record["speb_m2"]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,24 @@ class TestRunners:
         )
         fits = run_scaling(spec).summary
         assert abs(fits["noncooperative_fit_vs_log_na"]["slope"]) < 0.1
+
+    def test_dense_scaling_at_a_tiny_intensity_scale(self):
+        """At k_const = 2^-560 every determinant of the information would
+        underflow (every row read outage 1.0 and the slopes null): the
+        rows are those of k_const = 1 with the bounds times 2^560, the
+        slopes agree to 1e-12, and no floating-point warning is raised."""
+        results = []
+        for k_const in (1.0, 2.0**-560):
+            spec = default_spec("dense_scaling", seed=3, trials=2, k_const=k_const)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results.append(run_scaling(spec))
+        for one, tiny in zip(results[0].rows, results[1].rows):
+            assert tiny["outage"] == one["outage"]
+            assert tiny["mean_speb_m2"] == math.ldexp(one["mean_speb_m2"], 560)
+        for key, fit in results[0].summary.items():
+            if key.endswith("_fit_vs_log_n_total") or key.endswith("_fit_vs_log_na"):
+                assert results[1].summary[key]["slope"] == pytest.approx(fit["slope"], abs=1e-12)
 
     def test_scaling_fit_reproducible_across_seed_sets(self):
         """Disjoint seed sets give slope estimates whose 95% intervals overlap."""

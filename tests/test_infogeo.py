@@ -18,6 +18,7 @@ from locbounds.infogeo import (
     rotate,
     schur_reduce,
     speb,
+    speb_blocks,
     to_ellipse,
     wrap_angle,
 )
@@ -146,6 +147,42 @@ class TestSpeb:
             j = random_pd_matrix(rng)
             e = to_ellipse(j)
             assert abs(speb(j) - (1.0 / e.mu + 1.0 / e.eta)) < 1e-9 * speb(j)
+
+    @pytest.mark.parametrize(
+        "a11, a12, a22",
+        [
+            (0.5500088526668698, 0.9856874396754165, 1.7664801746172394),
+            (0.5664106314200583, 0.7520865299290137, 0.9986291209469409),
+            (1.3085537862727508, 0.8752472695173616, 0.5854232316783586),
+        ],
+    )
+    def test_blocks_at_the_threshold_get_one_verdict(self, a11, a12, a22):
+        """Blocks whose smallest eigenvalue sits at the singularity threshold,
+        where ``math.hypot`` and ``np.hypot`` differ in the last bit: ``speb``
+        and ``speb_blocks`` share one hypot, so one verdict and one value."""
+        blocks = np.array([[[a11, a12], [a12, a22]]])
+        assert speb_blocks(blocks)[0] == speb(InfoMatrix2(a11, a12, a22))
+
+    @pytest.mark.parametrize("k", [-560, -20, 20, 520])
+    def test_scales_exactly_beyond_the_determinant_range(self, k):
+        """Information times 2^k gives SPEB and DPEB times 2^-k exactly, also
+        where the determinant alone would leave float range (2^-1120 or
+        2^1040 for |k| of 560 or 520)."""
+        rng = np.random.default_rng(19)
+        u = random_unit_vector(rng)
+        for _ in range(50):
+            j = random_pd_matrix(rng)
+            big = InfoMatrix2(*(math.ldexp(v, k) for v in (j.a11, j.a12, j.a22)))
+            assert speb(big) == math.ldexp(speb(j), -k)
+            assert dpeb(big, u) == math.ldexp(dpeb(j, u), -k)
+            block = big.as_array()[None]
+            assert speb_blocks(block)[0] == math.ldexp(speb(j), -k)
+            e = to_ellipse(j)
+            for nu, phi in ((0.0, 0.3), (2.0, 1.1)):
+                _, want = fuse_anchor(e, nu, phi)
+                scaled = EllipseForm(math.ldexp(e.mu, k), math.ldexp(e.eta, k), e.theta)
+                _, got = fuse_anchor(scaled, math.ldexp(nu, k), phi)
+                assert got == math.ldexp(want, -k)
 
 
 class TestDpeb:

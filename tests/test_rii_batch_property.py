@@ -1,8 +1,9 @@
 """Differential tests of the array intensity kernels against their scalar
-references: ``rii_no_prior_batch`` against ``rii_no_prior`` and
-``rii_pathloss_batch`` against ``rii_pathloss``, bit for bit, failures
-included (the first failing input raises the same error class and
-message), and ``first_channel_fault`` against ``MultipathChannel``."""
+references: ``rii_no_prior_flat`` against ``rii_no_prior`` (bit for bit
+where the reference returns, NaN where it raises) and ``rii_pathloss_batch``
+against ``rii_pathloss`` (bit for bit, failures included: the first failing
+input raises the same error class and message), and
+``first_channel_fault`` against ``MultipathChannel``."""
 
 import math
 
@@ -15,7 +16,7 @@ from locbounds.ranging import (
     first_channel_fault,
     gaussian_pulse,
     rii_no_prior,
-    rii_no_prior_batch,
+    rii_no_prior_flat,
     rii_pathloss,
     rii_pathloss_batch,
     sinc_pulse,
@@ -87,14 +88,24 @@ def _waveform_batches(draw):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(batch=_waveform_batches())
 def test_waveform_batch_matches_rii_no_prior(batch):
+    """The flat kernel gives ``rii_no_prior`` bit for bit where it returns
+    and NaN where it raises, past a failing channel too (the config loader
+    then runs the reference on the NaN channels, in link order, for the
+    first one's error)."""
     pulse, channels = batch
     one = [_outcomes(lambda ch: rii_no_prior(pulse, ch), [(ch,)]) for ch in channels]
-    want = _outcomes(lambda ch: rii_no_prior(pulse, ch), [(ch,) for ch in channels])
-    _assert_same(lambda: rii_no_prior_batch(pulse, channels), want)
-    # and the values of every channel that resolves, past a failing one too
-    good = [ch for ch, r in zip(channels, one) if not isinstance(r, Exception)]
-    want = np.concatenate([r for r in one if not isinstance(r, Exception)] + [np.zeros(0)])
-    _assert_same(lambda: rii_no_prior_batch(pulse, good), want)
+    want = np.concatenate(
+        [np.full(1, np.nan) if isinstance(r, Exception) else r for r in one]
+    )
+    got = rii_no_prior_flat(
+        pulse,
+        np.concatenate([ch.delays for ch in channels]),
+        np.concatenate([ch.amplitudes for ch in channels]),
+        [ch.n_paths for ch in channels],
+        [ch.los for ch in channels],
+    )
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite

@@ -362,7 +362,14 @@ _REQUIRED_ONLY = {
     "oneOf": [{"required": ["a"]}, {"title": "b, c", "required": ["b", "c"]}, {"required": ["d"]}]
 }
 _EMPTY_REQUIRED = {"oneOf": [{"required": []}, {"required": ["a"]}]}
-# not every branch only requires keys, so each branch runs
+# a oneOf beside other keywords, as a link's oneOf sits beside its type and properties
+_LINK_LIKE = {
+    "type": "object",
+    "properties": {"a": {"type": "number"}},
+    "oneOf": [{"required": ["a"]}, {"required": ["b", "c"]}],
+}
+_LONE_WITH_MINIMUM = {"minimum": 0, "oneOf": [{"required": ["a"]}]}
+# a branch that does more than require keys: no published schema has one
 _MIXED = {"oneOf": [{"required": ["a"]}, {"type": "object", "required": ["b"]}]}
 _GENERAL = {"oneOf": [{"type": "number"}, {"type": "string"}, {"minimum": 0}]}
 NON_OBJECTS = [None, True, 0, 1.5, "a", [], ["a"], [{"a": 1}]]
@@ -376,14 +383,13 @@ OBJECTS = [{}, {"a": 1}, {"b": 1}, {"b": 1, "c": 1}, {"a": 1, "d": 1}, {"d": Non
     + [(_ONE_REQUIRED, x) for x in NON_OBJECTS + OBJECTS]
     + [(_REQUIRED_ONLY, x) for x in NON_OBJECTS + OBJECTS]
     + [(_EMPTY_REQUIRED, x) for x in NON_OBJECTS + OBJECTS]
-    + [(_MIXED, x) for x in NON_OBJECTS + OBJECTS]
-    # 5 matches the first and (only) the last branch, "a" the last two
-    + [(_GENERAL, x) for x in [5, -1, "a", None, {}, [], True]],
+    + [(_LINK_LIKE, x) for x in NON_OBJECTS + OBJECTS]
+    + [(_LONE_WITH_MINIMUM, x) for x in [5, -1, "a", None, {}, [], True]],
 )
 def test_one_of_and_required_corners(schema, instance):
     """``oneOf`` over branches that only require keys is decided from the
-    instance's keys, and any other ``oneOf`` stops at its second match:
-    both give jsonschema's verdict, on objects and on every other type."""
+    instance's keys, alone or beside other keywords: jsonschema's verdict,
+    on objects and on every other type."""
     check = _compile(schema)
     valid = jsonschema.Draft202012Validator(schema).is_valid(instance)
     assert check(instance) is valid
@@ -398,6 +404,8 @@ def test_one_of_and_required_corners(schema, instance):
         {"items": {"$ref": "https://example.com/other.json"}},
         {"type": "any"},
         {"$schema": "http://json-schema.org/draft-07/schema#", "type": "object"},
+        _MIXED,
+        _GENERAL,
     ],
 )
 def test_unsupported_schema_raises(schema):
