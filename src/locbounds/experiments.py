@@ -49,10 +49,12 @@ that path; the draws check the values their constructors would.
 ``_COLUMNS`` lists the output columns of every kind.
 
 Per-agent exact bounds are the SPEBs of ``NetworkEfim.agent_info``: every
-agent's equivalent information from one recursive-halving Schur reduction,
-with per-agent pseudo-inverse reductions only when the total information
-may be singular, so one degenerate agent does not make the whole draw
-unlocalizable; anchors-only bounds are those of ``NetworkEfim.own_info``.
+agent's equivalent information from one recursive-halving Schur reduction
+of the total, or, when the total may be singular, of each cooperation
+component alone (with per-agent pseudo-inverse reductions only in a
+component whose halving fails), so one degenerate agent or cluster does
+not make the whole draw unlocalizable; anchors-only bounds are those of
+``NetworkEfim.own_info``.
 Every SPEB is ``infogeo.speb_blocks``, under the one singularity rule.
 
 Outputs are CSV rows plus a JSON summary named ``<kind>_<seed>.csv/json``,

@@ -404,15 +404,12 @@ def schur_reduce(
 
 
 def _singular_blocks(c: np.ndarray, drop_blocks: Sequence[int]) -> tuple[int, ...]:
-    """Identify eliminated diagonal 2x2 blocks that are singular on their own."""
-    bad = []
-    tr_scale = max(float(np.trace(c)), 0.0)
-    for i, k in enumerate(drop_blocks):
-        sub = c[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        eig_min = float(np.linalg.eigvalsh(sub)[0])
-        if eig_min <= PSD_TOL * tr_scale:
-            bad.append(k)
-    return tuple(bad)
+    """The eliminated diagonal 2x2 blocks that ``is_singular`` calls
+    singular on their own trace."""
+    i = np.arange(len(drop_blocks))
+    own = c.reshape(i.size, 2, i.size, 2)[i, :, i, :]
+    singular = is_singular(own[:, 0, 0] + own[:, 1, 1], min_eig_blocks(own))
+    return tuple(k for k, bad in zip(drop_blocks, singular) if bad)
 
 
 def fuse_anchor(e: EllipseForm, nu: float, phi: float) -> tuple[EllipseForm, float]:

@@ -15,10 +15,11 @@ prior means (the concentrated-prior regime); the fully general expectation
 over random positions is out of scope.
 
 ``NetworkEfim.agent_info`` holds every agent's equivalent information, the
-Schur complement of the total onto that agent, from one recursive-halving
-pass (see ``_halving_reduce``); ``agent_efim`` and the Monte Carlo studies
-read it, so the reduction and its singularity verdict are decided here
-alone, per agent.
+Schur complement of the total onto that agent: from one recursive-halving
+pass on the total (see ``_halving_reduce``), otherwise per cooperation
+component, since the total is block diagonal over them; ``agent_efim``
+and the Monte Carlo studies read it, so the reduction and its singularity
+verdict are decided here alone, per agent.
 
 ``join``/``leave`` update an assembled network incrementally and agree with
 batch re-assembly; ``temporal_efim`` reuses the same machinery for a single
@@ -324,28 +325,41 @@ class NetworkEfim:
         """Every agent's equivalent information, an (n_agents, 2, 2) stack.
 
         Block k is the Schur complement of the total onto agent k, from one
-        recursive-halving pass over all agents, which is used only when the
-        total and so every block is regular by ``speb``'s rule (see
-        ``_halving_reduce``). Otherwise each agent is reduced on its own
-        with a pseudo-inverse (see ``_pinv_reduce``), agents in a
-        cooperation component without anchor or prior information get zero
-        blocks (see ``_unanchored``), and eigenvalues within the
-        reduction's rounding error count as zero unless the agent's own
-        anchor links are regular; each block then keeps only its
-        eigenvalues above that and above the rule's threshold on its own
-        trace. So every block is PSD information and nothing raises.
+        recursive-halving pass over all agents, used only when the total
+        and so every block is regular by ``speb``'s rule (see
+        ``_halving_reduce``). Otherwise the total is block diagonal over
+        cooperation components (agents joined by nonzero blocks), and each
+        agent's block is its component's alone. A component without anchor
+        or prior information moves as a whole unobserved: its blocks are
+        zero. Any other is reduced by halving, or where that raises, one
+        agent at a time with a pseudo-inverse (see ``_pinv_reduce``), with
+        eigenvalues within its rounding error counted as zero unless the
+        agent's own anchor links are regular; each block then keeps only
+        its eigenvalues above that and above the rule's threshold on its
+        own trace. So every block is PSD information and nothing raises.
         """
         total = self.total.array
         try:
             blocks = _halving_reduce(total)
         except np.linalg.LinAlgError:
-            blocks, error = _pinv_reduce(total)
-            blocks[_unanchored(self)] = 0.0
-            # an agent's own anchor links bound its information from below,
-            # so where they alone are regular no direction is left to rounding
             n, k = self.n_agents, np.arange(self.n_agents)
-            own_regular = np.isfinite(speb_blocks(self.j_a.reshape(n, 2, n, 2)[k, :, k, :]))
-            blocks = _drop_singular(blocks, np.where(own_regular, 0.0, total.shape[0] * error))
+            blocks = np.zeros((n, 2, 2))
+            _, labels = connected_components(_blocks(total).any(axis=(2, 3)), directed=False)
+            anchored = (self.j_a + self.xi_p).reshape(n, 4 * n).any(axis=1)
+            own_regular = np.isfinite(speb_blocks(_blocks(self.j_a)[k, k]))
+            for label in np.unique(labels[anchored]):
+                agents = np.flatnonzero(labels == label)
+                rows = (2 * agents[:, None] + np.arange(2)).ravel()
+                part = total[np.ix_(rows, rows)]
+                try:
+                    blocks[agents] = _halving_reduce(part)
+                except np.linalg.LinAlgError:
+                    # an agent's own anchor links bound its information from
+                    # below, so where they alone are regular no direction is
+                    # left to rounding
+                    reduced, error = _pinv_reduce(part)
+                    floor = np.where(own_regular[agents], 0.0, part.shape[0] * error)
+                    blocks[agents] = _drop_singular(reduced, floor)
         blocks.flags.writeable = False
         return blocks
 
@@ -353,8 +367,8 @@ class NetworkEfim:
     def own_info(self) -> np.ndarray:
         """Every agent's own (anchor plus prior) block of j_a + xi_p, an
         (n_agents, 2, 2) stack."""
-        n, k = self.n_agents, np.arange(self.n_agents)
-        blocks = (self.j_a + self.xi_p).reshape(n, 2, n, 2)[k, :, k, :]
+        k = np.arange(self.n_agents)
+        blocks = _blocks(self.j_a + self.xi_p)[k, k]
         blocks.flags.writeable = False
         return blocks
 
@@ -450,21 +464,6 @@ def _pinv_reduce(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         blocks[k] = a - bg
         error[k] = eps * (np.abs(a).sum() + np.abs(bg).sum() + size * np.sum(g * g))
     return blocks, error
-
-
-def _unanchored(net: NetworkEfim) -> np.ndarray:
-    """Mask of the agents whose cooperation component holds no anchor or
-    prior information.
-
-    Such a component moves as a whole without changing any measurement, so
-    each of its agents' equivalent information is exactly zero; a
-    floating-point reduction returns it only up to rounding.
-    """
-    n = net.n_agents
-    coupled = net.total.array.reshape(n, 2, n, 2).any(axis=(1, 3))
-    anchored = (net.j_a + net.xi_p).reshape(n, 2 * n * 2).any(axis=1)
-    _, labels = connected_components(coupled, directed=False)
-    return ~np.isin(labels, labels[anchored])
 
 
 def _drop_singular(blocks: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -571,7 +570,7 @@ def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> Ne
         if xi_p.shape != (n, n):
             raise ValueError(f"xi_p override must be {n}x{n}")
         eigs = np.linalg.eigvalsh(0.5 * (xi_p + xi_p.T))
-        if eigs[0] < -PSD_TOL * max(float(np.trace(xi_p)), 1.0):
+        if eigs[0] < -PSD_TOL * max(float(np.trace(xi_p)), 0.0):
             raise ValueError("xi_p override must be PSD")
     else:
         xi_p = np.zeros((n, n))

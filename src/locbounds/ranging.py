@@ -51,6 +51,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .infogeo import PSD_TOL
+
 __all__ = [
     "SPEED_OF_LIGHT",
     "DegenerateChannelError",
@@ -215,22 +217,17 @@ def gaussian_pulse(
     return WaveformModel(samples=s, dt=dt, n0_half=n0_half, c=c, t0=float(t[0]))
 
 
-def sinc_pulse(
-    bandwidth: float,
-    dt: Optional[float] = None,
-    span_lobes: int = 64,
-    n0_half: float = 1.0,
-    c: float = SPEED_OF_LIGHT,
-) -> WaveformModel:
-    """Unit-energy sinc pulse with two-sided bandwidth ``bandwidth`` Hz."""
+def sinc_pulse(bandwidth: float, span_lobes: int = 64) -> WaveformModel:
+    """Unit-energy sinc pulse with two-sided bandwidth ``bandwidth`` Hz,
+    sampled at 64 points per lobe."""
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
     lobe = 1.0 / bandwidth  # zero-crossing spacing of sinc(W t)
-    dt = lobe / 64.0 if dt is None else dt
+    dt = lobe / 64.0
     t = np.arange(-span_lobes * lobe, span_lobes * lobe + 0.5 * dt, dt)
     s = np.sinc(bandwidth * t)
     s = s / math.sqrt(float(np.trapezoid(s**2, dx=dt)))
-    return WaveformModel(samples=s, dt=dt, n0_half=n0_half, c=c, t0=float(t[0]))
+    return WaveformModel(samples=s, dt=dt, t0=float(t[0]))
 
 
 @dataclass(frozen=True)
@@ -381,7 +378,7 @@ class ChannelPriorBlocks:
         composite[1:, 0] = xi_dk
         composite[1:, 1:] = 0.5 * (xi_kk + xi_kk.T)
         eigs = np.linalg.eigvalsh(composite)
-        if eigs[0] < -1e-9 * max(float(np.trace(composite)), 1.0):
+        if eigs[0] < -PSD_TOL * max(float(np.trace(composite)), 0.0):
             raise ValueError("channel prior information must be PSD")
         xi_dk.flags.writeable = False
         xi_kk.flags.writeable = False

@@ -485,6 +485,7 @@ class TestStudyDraws:
             dict(),
             dict(poisson_counts=True, fading_sigma_db=3.0, path_exponent=1.5),
             dict(cooperative=True, rho_b=0.01, rho_a=0.02, r0=1.0, rmax=6.0),
+            dict(k_const=2.5, fading_sigma_db=2.0),
         ],
     )
     def test_extended(self, overrides):
@@ -500,6 +501,7 @@ class TestStudyDraws:
                 r0=spec.r0,
                 rmax=spec.rmax,
                 b=spec.path_exponent,
+                k_const=spec.k_const,
                 poisson_counts=spec.poisson_counts,
                 fading_sigma_db=spec.fading_sigma_db,
                 trial=trial,

@@ -248,6 +248,19 @@ class TestSchurReduce:
         assert err.value.blocks == (1,)
         assert "1" in str(err.value)
 
+    def test_singular_complement_judges_each_block_on_its_own_trace(self):
+        """A weak but regular eliminated block beside a strong one is not
+        named: 1e-4 I has SPEB 2e4, though 1e-4 is below 1e-9 of the
+        eliminated matrix's trace."""
+        m = np.zeros((8, 8))
+        m[:2, :2] = np.eye(2)
+        m[2:4, 2:4] = 1e6 * np.eye(2)
+        m[4:6, 4:6] = 1e-4 * np.eye(2)
+        m[6:, 6:] = np.diag([1.0, 0.0])
+        with pytest.raises(SingularComplementError) as err:
+            schur_reduce(m, keep=[0])
+        assert err.value.blocks == (3,)
+
     def test_pinv_opt_in(self):
         m = np.zeros((4, 4))
         m[:2, :2] = np.diag([2.0, 1.0])

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
+from locbounds import network
+from locbounds.experiments import _extended_draw
 from locbounds.infogeo import (
     UNLOCALIZABLE,
     InfoMatrix2,
@@ -15,6 +18,7 @@ from locbounds.infogeo import (
 from locbounds.network import (
     Node,
     Topology,
+    _pinv_reduce,
     agent_efim,
     anchor_equivalence_check,
     build_efim,
@@ -186,6 +190,19 @@ class TestBuildEfim:
         xi[0, 2] = xi[2, 0] = 0.05
         net = build_efim(topo, xi_p_override=xi)
         np.testing.assert_array_equal(net.xi_p, xi)
+
+    @pytest.mark.parametrize(
+        "weak, negative", [(1e-3, -5e-10), (2.0**-560, -(2.0**-560))], ids=["1e-3", "2^-560"]
+    )
+    def test_indefinite_prior_override_rejected(self, weak, negative):
+        """The override is PSD by ``InfoMatrix2``'s rule, relative to its
+        own trace, as a node's prior is: no absolute floor admits a
+        negative eigenvalue of a weak prior."""
+        with pytest.raises(ValueError, match="not PSD"):
+            _agent("u", 0.0, 0.0, prior_info=np.diag([weak, negative]))
+        xi = np.diag([weak, negative, 0.0, 0.0])
+        with pytest.raises(ValueError, match="xi_p override must be PSD"):
+            build_efim(two_agent_topology(), xi_p_override=xi)
 
     def test_prior_mean_moves_geometry(self):
         """Ranging geometry is evaluated at the prior mean when present."""
@@ -359,6 +376,28 @@ class TestAgentInfo:
             assert coop == pytest.approx(10001.0, rel=1e-5)
             own = InfoMatrix2.from_array(anchors_only[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
             assert coop <= speb(own)
+
+
+    def test_pseudo_inverse_sees_one_component_at_most(self, monkeypatch):
+        """A cooperative rmax = 6 extended draw with 65 agents falls apart
+        into cooperation components, some of which fail the halving: the
+        pseudo-inverse fallback reduces each alone, never the whole total."""
+        sizes = []
+
+        def recording(total):
+            sizes.append(total.shape[0] // 2)
+            return _pinv_reduce(total)
+
+        monkeypatch.setattr(network, "_pinv_reduce", recording)
+        radius = math.sqrt(32 / (math.pi * 0.01))
+        net = _extended_draw(
+            1, rho_b=0.01, rho_a=0.02, radius=radius, r0=1.0, rmax=6.0, b=1.0,
+            k_const=1.0, poisson_counts=False, fading_sigma_db=0.0, trial=0,
+        ).efim()
+        assert net.agent_info.shape == (65, 2, 2)
+        coupled = net.total.array.reshape(65, 2, 65, 2).any(axis=(1, 3))
+        _, labels = connected_components(coupled, directed=False)
+        assert sizes and max(sizes) <= np.bincount(labels).max()
 
 
 class TestJoinLeave:

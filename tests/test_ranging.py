@@ -359,6 +359,16 @@ class TestRiiWithChannelPrior:
             lams.append(rii_with_channel_prior(psi, prior))
         assert all(b >= a * (1.0 - 1e-10) for a, b in zip(lams, lams[1:]))
 
+    @pytest.mark.parametrize(
+        "weak, negative", [(1e-3, -5e-10), (2.0**-560, -(2.0**-560))], ids=["1e-3", "2^-560"]
+    )
+    def test_indefinite_prior_rejected(self, weak, negative):
+        """PSD by ``InfoMatrix2``'s rule, relative to the composite's own
+        trace: no absolute floor admits a negative eigenvalue of a weak
+        prior."""
+        with pytest.raises(ValueError, match="channel prior information must be PSD"):
+            ChannelPriorBlocks(xi_dd=weak, xi_dk=np.zeros(2), xi_kk=np.diag([negative, 0.0]))
+
     def test_prior_shape_mismatch(self):
         w = _pulse()
         psi = psi_matrix(w, MultipathChannel([0.0], [1.0]))
