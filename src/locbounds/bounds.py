@@ -23,8 +23,9 @@ rounding of zero (``_BEARING_DUST``) counts as zero, so a peer whose only
 anchor lies on the bearing is not singular across it.
 
 ``efim_bounds`` and ``efim_bounds_all`` share one array kernel over all
-(k, j) agent pairs: it reads nu and phi of every pair block of ``j_c`` at
-once (rejecting blocks that are not rank one), forms Delta and Delta~ with
+(k, j) agent pairs: it reads nu and phi of every linked pair at once from
+the network's link list, as ``NetworkEfim.pair_info`` sums it (rejecting
+pairs whose block is not rank one), forms Delta and Delta~ with
 the eigen-form rule and ``_EIG_ZERO_REL`` test of ``peer_dpeb``, and sums
 J_L and J_U with ``einsum``. The scalar ``effective_rii`` is the reference
 the kernel is tested against. Identical inputs give bit-identical outputs,
@@ -222,21 +223,17 @@ def _bounds_arrays(net: NetworkEfim):
     direction).
     """
     n = net.n_agents
-    blocks = net.j_c.reshape(n, 2, n, 2).swapaxes(1, 2)
-    # (nu, phi) from the upper triangle, mirrored, so C_km and C_mk agree exactly
-    iu = np.triu_indices(n, 1)
-    c = -blocks[iu]
+    # (nu, phi) of each linked pair k < m, mirrored, so C_km and C_mk agree exactly
+    k_u, m_u, c = net.pair_info()
     nu_u = c[:, 0, 0] + c[:, 1, 1]
     phi_u = 0.5 * np.arctan2(2.0 * c[:, 0, 1], c[:, 0, 0] - c[:, 1, 1])
-    linked_u = nu_u > 0.0
-    nu_u = np.where(linked_u, nu_u, 0.0)
     cos_u, sin_u = np.cos(phi_u), np.sin(phi_u)
     rdm_u = np.stack([cos_u * cos_u, cos_u * sin_u, cos_u * sin_u, sin_u * sin_u], axis=-1)
     rdm_u = rdm_u.reshape(-1, 2, 2)
     residual = np.abs(c - nu_u[:, None, None] * rdm_u).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(linked_u & (residual > 1e-8 * nu_u))
+    bad = np.flatnonzero(residual > 1e-8 * nu_u)
     if bad.size:
-        k, m = iu[0][bad[0]], iu[1][bad[0]]
+        k, m = k_u[bad[0]], m_u[bad[0]]
         raise ValueError(
             f"cooperation block between agents {net.agent_ids[k]!r} and "
             f"{net.agent_ids[m]!r} is not rank one; the closed-form bounds "
@@ -246,7 +243,7 @@ def _bounds_arrays(net: NetworkEfim):
     nu = np.zeros((n, n))
     phi = np.zeros((n, n))
     rdm_all = np.zeros((n, n, 2, 2))
-    for rows, cols in (iu, iu[::-1]):
+    for rows, cols in ((k_u, m_u), (m_u, k_u)):
         nu[rows, cols] = nu_u
         phi[rows, cols] = phi_u
         rdm_all[rows, cols] = rdm_u

@@ -37,7 +37,8 @@ The Monte Carlo studies (fig6, fig7, fig8, dense and extended scaling)
 run one loop: at every sweep point and trial it draws a network as arrays
 (``_dense_draw`` or ``_extended_draw``, whose arrays ``gen_dense`` and
 ``gen_extended`` hand to ``Topology.from_arrays``), assembles its EFIM with
-``network.assemble_links``, the routine behind ``build_efim``, and takes
+``network.assemble_links``, the routine behind ``build_efim``, into
+``NetworkEfim``'s anchor stack and cooperation links, and takes
 the per-agent measures the kind needs (exact cooperative or anchors-only
 SPEB, or the SPEBs of the closed-form bounds from ``bound_spebs``, as
 arrays with no per-agent objects); each measure is aggregated into one
@@ -49,12 +50,11 @@ that path; the draws check the values their constructors would.
 ``_COLUMNS`` lists the output columns of every kind.
 
 Per-agent exact bounds are the SPEBs of ``NetworkEfim.agent_info``: every
-agent's equivalent information from one recursive-halving Schur reduction
-of the total, or, when the total may be singular, of each cooperation
-component alone (with per-agent pseudo-inverse reductions only in a
-component whose halving fails), so one degenerate agent or cluster does
-not make the whole draw unlocalizable; anchors-only bounds are those of
-``NetworkEfim.own_info``.
+agent's equivalent information from a recursive-halving Schur reduction
+of its cooperation component alone (with per-agent pseudo-inverse
+reductions only in a component whose halving fails), so one degenerate
+agent or cluster does not make the whole draw unlocalizable; anchors-only
+bounds are those of ``NetworkEfim.own_info``.
 Every SPEB is ``infogeo.speb_blocks``, under the one singularity rule.
 
 Outputs are CSV rows plus a JSON summary named ``<kind>_<seed>.csv/json``,
@@ -354,9 +354,9 @@ class _Draw(NamedTuple):
             raise ValueError("topology has no agents")
         n_nodes = len(self.positions)
         agent_of = np.where(np.arange(n_nodes) < self.n_agents, np.arange(n_nodes), -1)
-        j_a, j_c = assemble_links(agent_of, self.positions, self.src, self.dst, self.rii)
+        anchor, *links = assemble_links(agent_of, self.positions, self.src, self.dst, self.rii)
         ids = tuple(f"a{i}" for i in range(self.n_agents))
-        return NetworkEfim(agent_ids=ids, j_a=j_a, j_c=j_c, xi_p=np.zeros_like(j_a))
+        return NetworkEfim(ids, anchor, np.zeros_like(anchor), *links)
 
 
 def gen_dense(

@@ -1,42 +1,27 @@
 """Network-level equivalent information: assembly, reduction, updates.
 
-The position information of all agents in a cooperative network is a block
-matrix over 2x2 blocks with three separable contributions:
-
-- ``j_a``: block-diagonal anchor information, each agent's block a weighted
-  sum of ranging direction matrices over its anchor links;
-- ``j_c``: cooperation information with pair blocks C_km on the diagonal and
-  -C_km off the diagonal, so each block row sums to zero;
-- ``xi_p``: prior position information (block diagonal for independent
-  priors; arbitrary PSD matrices are accepted as raw overrides).
+``NetworkEfim`` stores the network information in the paper's structure:
+anchor and prior information as one 2x2 block per agent, and cooperation
+information as one rank-one term per agent-agent link (receiving agent,
+transmitting agent, 2x2 term after the reciprocal rule) in link order. A
+pair's terms sum to C_km, which sits on both agents' diagonal blocks and
+negated off the diagonal. Only this module builds the dense (2N, 2N)
+matrices, for checks and demos (``j_a``, ``j_c``, ``xi_p``, ``total``) and
+per cooperation component in ``agent_info``, all with ``_scatter``.
 
 When agents carry position priors, the ranging geometry is evaluated at the
 prior means (the concentrated-prior regime); the fully general expectation
 over random positions is out of scope.
 
-``NetworkEfim.agent_info`` holds every agent's equivalent information, the
-Schur complement of the total onto that agent: from one recursive-halving
-pass on the total (see ``_halving_reduce``), otherwise per cooperation
-component, since the total is block diagonal over them; ``agent_efim``
-and the Monte Carlo studies read it, so the reduction and its singularity
-verdict are decided here alone, per agent.
-
-``join``/``leave`` update an assembled network incrementally and agree with
-batch re-assembly; ``temporal_efim`` reuses the same machinery for a single
-agent ranging against itself over time; ``anchor_equivalence_check``
+``agent_info`` holds every agent's equivalent information, so the
+reduction and its singularity verdict are decided here alone, per agent.
+``build_efim`` is ``assemble_links`` on a ``Topology``'s link arrays plus
+the priors, as the Monte Carlo studies' draws are; ``join`` appends the
+newcomer's blocks and links and ``leave`` masks them, both equal to batch
+re-assembly bit for bit. ``temporal_efim`` reuses the machinery for a
+single agent ranging against itself over time; ``anchor_equivalence_check``
 verifies numerically that an agent with a huge position prior behaves like
 an anchor once reduced out.
-
-A ``Topology`` holds its links as arrays (node indices, intensities,
-bearing and distance overrides), validated once as arrays, whether they
-come from ``RangingLink``s or straight from the config loader and the
-generators; ``links`` reads them back as objects. ``build_efim`` is
-``assemble_links`` on those arrays plus the priors: it scatters the
-rank-one contributions into the blocks with ``np.add.at``, and no
-per-link object is built. The Monte Carlo studies draw their networks as
-arrays and call ``assemble_links`` directly; ``join`` appends the
-newcomer's links to the arrays and scatters only those, and ``leave``
-masks the arrays.
 
 ``Topology`` and ``NetworkEfim`` are immutable snapshots; updates return new
 values, so concurrent readers are safe.
@@ -50,10 +35,8 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .infogeo import (
-    PSD_TOL,
     BlockMatrix,
     InfoMatrix2,
     SingularComplementError,
@@ -295,82 +278,106 @@ class Topology:
 
 @dataclass(frozen=True)
 class NetworkEfim:
-    """Assembled network information with its three parts kept separable.
-
-    ``agent_ids`` orders the 2x2 blocks; ``total`` = j_a + j_c + xi_p.
-    """
+    """Network information: the agents' (n, 2, 2) ``anchor`` and ``prior``
+    stacks, in ``agent_ids`` order, and the cooperation links' receiving
+    agent ``rx``, transmitting agent ``tx`` and 2x2 ``terms``. The dense
+    ``j_a``, ``j_c``, ``xi_p`` and ``total`` = j_a + j_c + xi_p are built
+    on first access."""
 
     agent_ids: tuple[str, ...]
-    j_a: np.ndarray
-    j_c: np.ndarray
-    xi_p: np.ndarray
+    anchor: np.ndarray
+    prior: np.ndarray
+    rx: np.ndarray
+    tx: np.ndarray
+    terms: np.ndarray
     topology: Optional[Topology] = None
 
     def __post_init__(self) -> None:
-        n = 2 * len(self.agent_ids)
-        for name in ("j_a", "j_c", "xi_p"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}")
-            arr = 0.5 * (arr + arr.T)
+        n, m = len(self.agent_ids), len(self.rx)
+        shapes = dict(anchor=(n, 2, 2), prior=(n, 2, 2), rx=(m,), tx=(m,), terms=(m, 2, 2))
+        for name, shape in shapes.items():
+            arr = np.array(getattr(self, name), dtype=np.intp if len(shape) == 1 else float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            if arr.ndim == 3:
+                arr = 0.5 * (arr + arr.transpose(0, 2, 1))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @cached_property
+    def j_a(self) -> np.ndarray:
+        return _scatter(self.anchor, np.zeros_like(self.prior), *_NO_LINKS).array
+
+    @cached_property
+    def j_c(self) -> np.ndarray:
+        zero = np.zeros_like(self.anchor)
+        return _scatter(zero, zero, self.rx, self.tx, self.terms).array
+
+    @cached_property
+    def xi_p(self) -> np.ndarray:
+        return _scatter(np.zeros_like(self.anchor), self.prior, *_NO_LINKS).array
+
+    @cached_property
     def total(self) -> BlockMatrix:
-        return BlockMatrix(self.j_a + self.j_c + self.xi_p)
+        return _scatter(self.anchor, self.prior, self.rx, self.tx, self.terms)
 
     @cached_property
     def agent_info(self) -> np.ndarray:
         """Every agent's equivalent information, an (n_agents, 2, 2) stack.
 
-        Block k is the Schur complement of the total onto agent k, from one
-        recursive-halving pass over all agents, used only when the total
-        and so every block is regular by ``speb``'s rule (see
-        ``_halving_reduce``). Otherwise the total is block diagonal over
-        cooperation components (agents joined by nonzero blocks), and each
-        agent's block is its component's alone. A component without anchor
-        or prior information moves as a whole unobserved: its blocks are
-        zero. Any other is reduced by halving, or where that raises, one
-        agent at a time with a pseudo-inverse (see ``_pinv_reduce``), with
-        eigenvalues within its rounding error counted as zero unless the
-        agent's own anchor links are regular; each block then keeps only
-        its eigenvalues above that and above the rule's threshold on its
-        own trace. So every block is PSD information and nothing raises.
+        The total is block diagonal over the cooperation components (agents
+        joined by links), so block k is the Schur complement onto agent k of
+        its component's matrix alone: zero for a component without anchor or
+        prior information (it moves as a whole unobserved), else by recursive
+        halving (``_halving_reduce``), or where that raises, one agent at a
+        time with a pseudo-inverse (``_pinv_reduce``), keeping eigenvalues
+        above its rounding error (unless the agent's own anchor links are
+        regular) and the singularity rule's threshold. So every block is PSD
+        information and nothing raises.
         """
-        total = self.total.array
-        try:
-            blocks = _halving_reduce(total)
-        except np.linalg.LinAlgError:
-            n, k = self.n_agents, np.arange(self.n_agents)
-            blocks = np.zeros((n, 2, 2))
-            _, labels = connected_components(_blocks(total).any(axis=(2, 3)), directed=False)
-            anchored = (self.j_a + self.xi_p).reshape(n, 4 * n).any(axis=1)
-            own_regular = np.isfinite(speb_blocks(_blocks(self.j_a)[k, k]))
-            for label in np.unique(labels[anchored]):
-                agents = np.flatnonzero(labels == label)
-                rows = (2 * agents[:, None] + np.arange(2)).ravel()
-                part = total[np.ix_(rows, rows)]
-                try:
-                    blocks[agents] = _halving_reduce(part)
-                except np.linalg.LinAlgError:
-                    # an agent's own anchor links bound its information from
-                    # below, so where they alone are regular no direction is
-                    # left to rounding
-                    reduced, error = _pinv_reduce(part)
-                    floor = np.where(own_regular[agents], 0.0, part.shape[0] * error)
-                    blocks[agents] = _drop_singular(reduced, floor)
+        blocks = np.zeros((self.n_agents, 2, 2))
+        labels = _components(self.n_agents, self.rx, self.tx)
+        for label in np.unique(labels[self.own_info.any(axis=(1, 2))]):
+            agents, held = np.flatnonzero(labels == label), labels[self.rx] == label
+            rx, tx = (np.searchsorted(agents, ends[held]) for ends in (self.rx, self.tx))
+            part = _scatter(self.anchor[agents], self.prior[agents], rx, tx, self.terms[held])
+            try:
+                blocks[agents] = _halving_reduce(part.array)
+            except np.linalg.LinAlgError:
+                # own anchor links bound an agent's information from below,
+                # so where they are regular no direction is left to rounding
+                reduced, error = _pinv_reduce(part.array)
+                own_regular = np.isfinite(speb_blocks(self.anchor[agents]))
+                floor = np.where(own_regular, 0.0, len(part.array) * error)
+                blocks[agents] = _drop_singular(reduced, floor)
         blocks.flags.writeable = False
         return blocks
 
     @cached_property
     def own_info(self) -> np.ndarray:
-        """Every agent's own (anchor plus prior) block of j_a + xi_p, an
+        """Every agent's own (anchor plus prior) information, an
         (n_agents, 2, 2) stack."""
-        k = np.arange(self.n_agents)
-        blocks = _blocks(self.j_a + self.xi_p)[k, k]
-        blocks.flags.writeable = False
-        return blocks
+        own = self.anchor + self.prior
+        own.flags.writeable = False
+        return own
+
+    def pair_info(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The agent pairs k < m that share a link, in ``np.triu_indices``
+        order, and each one's C_km, an (n_pairs, 2, 2) stack: the negated
+        (k, m) block of ``j_c``, summed and symmetrised as ``j_c`` is."""
+        n = self.n_agents
+        key = np.minimum(self.rx, self.tx) * n + np.maximum(self.rx, self.tx)
+        linked = np.zeros(n * n, dtype=bool)
+        linked[key] = True
+        keys = np.flatnonzero(linked)
+        count = keys.size
+        pair = (np.cumsum(linked) - 1)[key]
+        # blocks (k, m), then (m, k), of ``_scatter``'s matrix, in its order
+        upper = self.rx < self.tx  # (rx, tx) is the (k, m) block
+        at = np.concatenate([pair + count * ~upper, pair + count * upper])
+        sums = _sum_blocks(2 * count, at, -np.concatenate([self.terms, self.terms]))
+        sums = sums.reshape(2, count, 2, 2)
+        return keys // n, keys % n, -(0.5 * (sums[0] + sums[1].transpose(0, 2, 1)))
 
     @property
     def n_agents(self) -> int:
@@ -383,15 +390,7 @@ class NetworkEfim:
             raise KeyError(f"unknown agent id {agent_id!r}") from None
 
     def anchor_block(self, agent_id: str) -> InfoMatrix2:
-        k = self.index(agent_id)
-        return InfoMatrix2.from_array(self.j_a[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
-
-    def cooperation_block(self, id_a: str, id_b: str) -> np.ndarray:
-        """Pair information C_km (the negated off-diagonal cooperation block)."""
-        k, m = self.index(id_a), self.index(id_b)
-        if k == m:
-            raise ValueError("cooperation blocks couple distinct agents")
-        return -self.j_c[2 * k : 2 * k + 2, 2 * m : 2 * m + 2]
+        return InfoMatrix2.from_array(self.anchor[self.index(agent_id)])
 
 
 def _halving_reduce(total: np.ndarray) -> np.ndarray:
@@ -492,6 +491,44 @@ def _blocks(mat: np.ndarray) -> np.ndarray:
     return mat.reshape(n, 2, n, 2).swapaxes(1, 2)
 
 
+_NO_LINKS = (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros((0, 2, 2)))
+
+
+def _sum_blocks(size: int, at: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The sums of symmetric 2x2 ``terms`` into ``size`` blocks, term i into
+    block ``at[i]``, added in the order given (as ``np.add.at`` adds)."""
+    s00, s01, s11 = (np.bincount(at, terms[:, a, b], size) for a, b in ((0, 0), (0, 1), (1, 1)))
+    return np.stack([s00, s01, s01, s11], axis=-1).reshape(size, 2, 2)
+
+
+def _scatter(
+    anchor: np.ndarray, prior: np.ndarray, rx: np.ndarray, tx: np.ndarray, terms: np.ndarray
+) -> BlockMatrix:
+    """(j_a + j_c) + xi_p of agents with these stacks and links: j_c sums each
+    term on its receiver's, then transmitter's diagonal block, then negated
+    on (rx, tx), then (tx, rx), each pass in link order, and symmetrises."""
+    n = len(anchor)
+    at = np.concatenate([rx * (n + 1), tx * (n + 1), rx * n + tx, tx * n + rx])
+    coop = _sum_blocks(n * n, at, np.concatenate([terms, terms, -terms, -terms]))
+    mat = coop.reshape(n, n, 2, 2).swapaxes(1, 2).reshape(2 * n, 2 * n)
+    mat = 0.5 * (mat + mat.T)
+    diagonal = (np.arange(n), np.arange(n))
+    _blocks(mat)[diagonal] = (anchor + _blocks(mat)[diagonal]) + prior
+    return BlockMatrix(mat)
+
+
+def _components(n: int, rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """Each of n agents' connected component under links (rx, tx), labelled
+    0, 1, ... in the order of their smallest members."""
+    root = np.arange(n)
+    while not np.array_equal(root[rx], root[tx]):
+        # hook the larger root of every link onto the smaller, then compress
+        np.minimum.at(root, np.maximum(root[rx], root[tx]), np.minimum(root[rx], root[tx]))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+    return np.unique(root, return_inverse=True)[1]
+
+
 def assemble_links(
     agent_of: np.ndarray,
     pos: np.ndarray,
@@ -500,16 +537,18 @@ def assemble_links(
     rii: np.ndarray,
     phi: Optional[np.ndarray] = None,
     reciprocal: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor and cooperation information ``(j_a, j_c)`` of links given as
-    arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor stack and cooperation links ``(anchor, rx, tx, terms)``, as
+    ``NetworkEfim`` holds them, of links given as arrays.
 
     ``agent_of`` holds each node's agent index (-1 for anchors) and ``pos``
     its evaluation position; link i is received at node ``src[i]`` from
     node ``dst[i]`` with intensity ``rii[i]``, at the bearing ``phi[i]``
     where given and not NaN, else at the bearing between the positions.
-    Each link contributes rii * R(phi), scattered into the blocks with
-    ``np.add.at`` in link order; ``reciprocal`` is ``Topology``'s.
+    Each link carries rii * R(phi): a link from an anchor adds it to its
+    receiver's anchor block in link order, a link between agents keeps it
+    as its term, doubled under ``reciprocal`` (``Topology``'s rule) where
+    the reverse link is absent. Links with a zero term are left out.
     """
     k, m = agent_of[src], agent_of[dst]
     d = pos[src] - pos[dst]
@@ -522,63 +561,35 @@ def assemble_links(
     terms[:, 0, 1] = terms[:, 1, 0] = rii * (c * s)
     terms[:, 1, 1] = rii * (s * s)
 
-    n = 2 * int(agent_of.max(initial=-1) + 1)
-    j_a = np.zeros((n, n))
-    j_c = np.zeros((n, n))
+    n = int(agent_of.max(initial=-1) + 1)
     to_anchor = m < 0
-    np.add.at(_blocks(j_a), (k[to_anchor], k[to_anchor]), terms[to_anchor])
+    anchor = _sum_blocks(n, k[to_anchor], terms[to_anchor])
 
     coop = ~to_anchor
     k, m, terms = k[coop], m[coop], terms[coop]
     if reciprocal:
         implied = ~np.isin(m * n + k, k * n + m)
         terms = terms * (1.0 + implied)[:, None, None]
-    jc = _blocks(j_c)
-    np.add.at(jc, (k, k), terms)
-    np.add.at(jc, (m, m), terms)
-    np.add.at(jc, (k, m), -terms)
-    np.add.at(jc, (m, k), -terms)
-    return j_a, j_c
+    held = terms.any(axis=(1, 2))
+    return anchor, k[held], m[held], terms[held]
 
 
-def build_efim(topo: Topology, xi_p_override: Optional[np.ndarray] = None) -> NetworkEfim:
-    """Assemble a network's block information matrix from its topology.
-
-    Anchor links accumulate into the block diagonal of ``j_a``; each agent
-    pair's links combine into C_km = (lambda_km + lambda_mk) R(phi_km),
-    placed on the ``j_c`` diagonal and negated off the diagonal. With
-    ``reciprocal=True`` an agent-agent link whose reverse direction is
-    absent from the topology counts twice (a reverse link that is present
-    counts as given, even at zero intensity). Independent agent priors fill
-    the block diagonal of ``xi_p``; a full PSD matrix may be supplied
-    instead for correlated priors.
-
-    The topology's link arrays are assembled by ``assemble_links``.
-    """
+def build_efim(topo: Topology) -> NetworkEfim:
+    """Assemble a network's information from its topology: each agent
+    pair's links combine into C_km = (lambda_km + lambda_mk) R(phi_km); with
+    ``reciprocal=True`` a link whose reverse is absent from the topology
+    counts twice (a present reverse link counts as given, even at zero
+    intensity). Independent agent priors fill the prior stack."""
     agents = topo.agents
     if not agents:
         raise ValueError("topology has no agents")
-    ids = tuple(n.node_id for n in agents)
-    n = 2 * len(ids)
-    j_a, j_c = assemble_links(
+    prior = np.array([np.zeros((2, 2)) if a.prior_info is None else a.prior_info for a in agents])
+    anchor, rx, tx, terms = assemble_links(
         topo._agent_of, topo._positions, topo.src, topo.dst, topo.rii, topo.phi,
         reciprocal=topo.reciprocal,
     )
-
-    if xi_p_override is not None:
-        xi_p = np.array(xi_p_override, dtype=float)
-        if xi_p.shape != (n, n):
-            raise ValueError(f"xi_p override must be {n}x{n}")
-        eigs = np.linalg.eigvalsh(0.5 * (xi_p + xi_p.T))
-        if eigs[0] < -PSD_TOL * max(float(np.trace(xi_p)), 0.0):
-            raise ValueError("xi_p override must be PSD")
-    else:
-        xi_p = np.zeros((n, n))
-        for k, node in enumerate(agents):
-            if node.prior_info is not None:
-                xi_p[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = node.prior_info
-
-    return NetworkEfim(agent_ids=ids, j_a=j_a, j_c=j_c, xi_p=xi_p, topology=topo)
+    ids = tuple(n.node_id for n in agents)
+    return NetworkEfim(ids, anchor, prior, rx, tx, terms, topology=topo)
 
 
 def agent_efim(net: NetworkEfim, agent_id: str) -> InfoMatrix2:
@@ -593,14 +604,9 @@ def agent_efim(net: NetworkEfim, agent_id: str) -> InfoMatrix2:
 
 
 def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> NetworkEfim:
-    """Extend an assembled network with one more agent.
-
-    Only the newcomer's links are scattered, by ``assemble_links``, into the
-    blocks zero-padded by one agent: they add ranging-direction terms to the
-    existing diagonal, their negatives on the new border and the newcomer's
-    anchor information on its own diagonal; the result equals batch
-    re-assembly of the extended topology.
-    """
+    """Extend an assembled network with one more agent: only the newcomer's
+    links are assembled, its blocks and cooperation links appended, so the
+    result equals batch re-assembly of the extended topology bit for bit."""
     if net.topology is None:
         raise ValueError("join requires a NetworkEfim built from a topology")
     if not new_agent.is_agent:
@@ -619,32 +625,30 @@ def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> Net
         *map(np.concatenate, zip(topo._link_arrays, added._link_arrays)),
         reciprocal=topo.reciprocal,
     )
-    # every agent pair in ``links`` holds the newcomer, so both directions of
-    # a pair are among them and the reciprocal rule needs no other link
-    j_a, j_c = assemble_links(
+    # every pair in ``links`` holds the newcomer, the last agent, so the
+    # reciprocal rule needs no other link and no other agent's anchor block
+    anchor, rx, tx, terms = assemble_links(
         new_topo._agent_of, new_topo._positions, added.src, added.dst, added.rii, added.phi,
         reciprocal=topo.reciprocal,
     )
-    n_old = 2 * net.n_agents
-    j_a[:n_old, :n_old] += net.j_a
-    j_c[:n_old, :n_old] += net.j_c
-    xi_p = np.zeros_like(j_a)
-    xi_p[:n_old, :n_old] = net.xi_p
-    if new_agent.prior_info is not None:
-        xi_p[n_old:, n_old:] = new_agent.prior_info
-
-    ids = net.agent_ids + (new_agent.node_id,)
-    return NetworkEfim(agent_ids=ids, j_a=j_a, j_c=j_c, xi_p=xi_p, topology=new_topo)
+    prior = np.zeros((1, 2, 2)) if new_agent.prior_info is None else new_agent.prior_info[None]
+    return NetworkEfim(
+        net.agent_ids + (new_agent.node_id,),
+        *map(np.concatenate, zip(
+            (net.anchor, net.prior, net.rx, net.tx, net.terms), (anchor[-1:], prior, rx, tx, terms)
+        )),
+        topology=new_topo,
+    )
 
 
 def leave(net: NetworkEfim, agent_id: str) -> NetworkEfim:
-    """Remove an agent: delete its blocks and subtract its pair blocks from
-    the surviving diagonal; equals batch re-assembly of the reduced topology."""
+    """Remove an agent: drop its blocks of the stacks and its links, and
+    renumber the rest; equals batch re-assembly of the reduced topology
+    bit for bit."""
     k = net.index(agent_id)
-    idx = np.delete(np.arange(2 * net.n_agents), [2 * k, 2 * k + 1])
-    j_c = net.j_c[np.ix_(idx, idx)]
-    stay = np.arange(net.n_agents - 1)
-    _blocks(j_c)[stay, stay] += _blocks(net.j_c)[np.delete(np.arange(net.n_agents), k), k]
+    stay = np.arange(net.n_agents) != k
+    held = (net.rx != k) & (net.tx != k)
+    rx, tx = net.rx[held], net.tx[held]
 
     new_topo = None
     if net.topology is not None:
@@ -660,11 +664,8 @@ def leave(net: NetworkEfim, agent_id: str) -> NetworkEfim:
         )
 
     return NetworkEfim(
-        agent_ids=tuple(i for i in net.agent_ids if i != agent_id),
-        j_a=net.j_a[np.ix_(idx, idx)],
-        j_c=j_c,
-        xi_p=net.xi_p[np.ix_(idx, idx)],
-        topology=new_topo,
+        tuple(i for i in net.agent_ids if i != agent_id), net.anchor[stay], net.prior[stay],
+        rx - (rx > k), tx - (tx > k), net.terms[held], topology=new_topo,
     )
 
 

@@ -4,6 +4,7 @@ networks, against per-agent pseudo-inverse reductions."""
 import numpy as np
 import pytest
 from scipy.linalg import pinvh
+from scipy.sparse.csgraph import connected_components
 
 from locbounds.infogeo import UNLOCALIZABLE, InfoMatrix2, is_singular, schur_reduce, speb
 from locbounds.network import Node, Topology, _pinv_reduce, agent_efim, build_efim
@@ -76,6 +77,17 @@ def _reference(total, k):
     return schur_reduce(total, keep=[k], use_pinv=True).array, error
 
 
+def _components(total):
+    """Each cooperation component of ``total`` (agents joined by nonzero
+    blocks) as (its agents, its submatrix)."""
+    n = total.shape[0] // 2
+    _, labels = connected_components(total.reshape(n, 2, n, 2).any(axis=(1, 3)), directed=False)
+    for label in np.unique(labels):
+        agents = np.flatnonzero(labels == label)
+        rows = (2 * agents[:, None] + np.arange(2)).ravel()
+        yield agents, total[np.ix_(rows, rows)]
+
+
 def _eig_min_and_trace(block):
     block = 0.5 * (block + block.T)
     return np.linalg.eigvalsh(block)[0], np.trace(block)
@@ -123,6 +135,21 @@ def test_never_raises_and_agrees_with_per_agent_reduction(topo, order):
         else:
             rounded_up = InfoMatrix2.from_array(info[k] + floor[k] * np.eye(2))
             assert speb(rounded_up) <= speb(own) * (1 + 1e-9)
+
+    # the same two checks at each component's own rounding level, the
+    # floor ``agent_info`` takes when it falls back to the pseudo-inverse
+    for agents, part in _components(total):
+        part_floor = part.shape[0] * _pinv_reduce(part)[1]
+        for i, k in enumerate(agents):
+            j = agent_efim(net, net.agent_ids[k])
+            if net.agent_ids[k] not in unanchored:
+                verdict = _decided(*_reference(part, i), part_floor[i])
+                if verdict is not None:
+                    assert (speb(j) is UNLOCALIZABLE) == verdict
+            if speb(j) is not UNLOCALIZABLE:
+                own = InfoMatrix2.from_array(anchors_only[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
+                rounded_up = InfoMatrix2.from_array(info[k] + part_floor[i] * np.eye(2))
+                assert speb(rounded_up) <= speb(own) * (1 + 1e-9)
 
     # reordering the nodes reorders the agents and nothing else, up to
     # the rounding error

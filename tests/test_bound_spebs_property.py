@@ -127,18 +127,12 @@ def _faulting_net(priors):
     """Three agents a0-a1-a2 in a line, each with anchor information
     diag(1, 1), plus the given per-agent prior arrays."""
     n = 3
-    j_a = np.eye(2 * n)
-    j_c = np.zeros((2 * n, 2 * n))
-    for k in range(n - 1):
-        block = np.diag([1.0, 0.0])  # ranging along x
-        j_c[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += block
-        j_c[2 * k + 2 : 2 * k + 4, 2 * k + 2 : 2 * k + 4] += block
-        j_c[2 * k : 2 * k + 2, 2 * k + 2 : 2 * k + 4] -= block
-        j_c[2 * k + 2 : 2 * k + 4, 2 * k : 2 * k + 2] -= block
-    xi_p = np.zeros((2 * n, 2 * n))
-    for k, prior in priors.items():
-        xi_p[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = prior
-    return NetworkEfim(("a0", "a1", "a2"), j_a, j_c, xi_p)
+    anchor = np.broadcast_to(np.eye(2), (n, 2, 2))
+    prior = np.zeros((n, 2, 2))
+    for k, block in priors.items():
+        prior[k] = block
+    terms = np.broadcast_to(np.diag([1.0, 0.0]), (n - 1, 2, 2))  # ranging along x
+    return NetworkEfim(("a0", "a1", "a2"), anchor, prior, [0, 1], [1, 2], terms)
 
 
 @pytest.mark.parametrize(

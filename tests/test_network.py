@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from locbounds import network
+from locbounds.bounds import bound_spebs
 from locbounds.experiments import _extended_draw
 from locbounds.infogeo import (
     UNLOCALIZABLE,
@@ -38,6 +39,13 @@ def _anchor(node_id, x, y):
 
 def _agent(node_id, x, y, prior_info=None):
     return Node(node_id, "agent", np.array([x, y], dtype=float), prior_info=prior_info)
+
+
+def pair_block(net, id_a, id_b):
+    """C_km of two agents, from ``pair_info``."""
+    k, m, c = net.pair_info()
+    lo, hi = sorted((net.index(id_a), net.index(id_b)))
+    return c[np.flatnonzero((k == lo) & (m == hi))[0]]
 
 
 def two_agent_topology(nu: float = 1.0) -> Topology:
@@ -103,7 +111,7 @@ class TestBuildEfim:
     def test_two_agent_blocks(self):
         """Cooperating pair: off-diagonal blocks are the negated coupling."""
         net = build_efim(two_agent_topology())
-        c = net.cooperation_block("u1", "u2")
+        c = pair_block(net, "u1", "u2")
         np.testing.assert_allclose(c, rdm(math.pi).as_array(), atol=1e-12)
         total = net.total.array
         np.testing.assert_allclose(total, total.T)
@@ -184,25 +192,15 @@ class TestBuildEfim:
             net.total.array, rdm(math.pi).as_array() + prior, atol=1e-12
         )
 
-    def test_correlated_prior_override(self):
-        topo = two_agent_topology()
-        xi = 0.1 * np.eye(4)
-        xi[0, 2] = xi[2, 0] = 0.05
-        net = build_efim(topo, xi_p_override=xi)
-        np.testing.assert_array_equal(net.xi_p, xi)
-
     @pytest.mark.parametrize(
         "weak, negative", [(1e-3, -5e-10), (2.0**-560, -(2.0**-560))], ids=["1e-3", "2^-560"]
     )
-    def test_indefinite_prior_override_rejected(self, weak, negative):
-        """The override is PSD by ``InfoMatrix2``'s rule, relative to its
-        own trace, as a node's prior is: no absolute floor admits a
-        negative eigenvalue of a weak prior."""
+    def test_indefinite_node_prior_rejected(self, weak, negative):
+        """A node's prior is PSD by ``InfoMatrix2``'s rule, relative to its
+        own trace: no absolute floor admits a negative eigenvalue of a
+        weak prior."""
         with pytest.raises(ValueError, match="not PSD"):
             _agent("u", 0.0, 0.0, prior_info=np.diag([weak, negative]))
-        xi = np.diag([weak, negative, 0.0, 0.0])
-        with pytest.raises(ValueError, match="xi_p override must be PSD"):
-            build_efim(two_agent_topology(), xi_p_override=xi)
 
     def test_prior_mean_moves_geometry(self):
         """Ranging geometry is evaluated at the prior mean when present."""
@@ -381,7 +379,7 @@ class TestAgentInfo:
     def test_pseudo_inverse_sees_one_component_at_most(self, monkeypatch):
         """A cooperative rmax = 6 extended draw with 65 agents falls apart
         into cooperation components, some of which fail the halving: the
-        pseudo-inverse fallback reduces each alone, never the whole total."""
+        pseudo-inverse fallback reduces each alone, never the whole network."""
         sizes = []
 
         def recording(total):
@@ -458,7 +456,7 @@ class TestJoinLeave:
         ]
         grown = self._check_join(net, _agent("u3", 2.0, 2.0), links)
         np.testing.assert_allclose(
-            grown.cooperation_block("u1", "u3"), 0.7 * rdm(0.3).as_array(), atol=1e-15
+            pair_block(grown, "u1", "u3"), 0.7 * rdm(0.3).as_array(), atol=1e-15
         )
 
     def test_join_with_prior_mean(self):
@@ -517,6 +515,19 @@ class TestJoinLeave:
         net = build_efim(topo)
         reduced = leave(net, "u2")
         np.testing.assert_array_equal(reduced.total.array, net.total.array[:2, :2])
+
+    def test_leave_last_agent_gives_empty_stacks(self):
+        """Without agents every per-agent answer is an empty stack, not an
+        error."""
+        topo = Topology(
+            (_agent("u1", 0, 0), _anchor("A", 1, 0)), (RangingLink("u1", "A", 1.0),)
+        )
+        empty = leave(build_efim(topo), "u1")
+        assert empty.agent_ids == ()
+        for stack in (empty.agent_info, empty.own_info):
+            assert stack.shape == (0, 2, 2)
+        assert empty.total.array.shape == (0, 0)
+        assert [s.shape for s in bound_spebs(empty)] == [(0,), (0,)]
 
     def test_join_infinite_prior_acts_like_anchor(self):
         """A joining agent with a huge prior contributes like a new anchor."""
