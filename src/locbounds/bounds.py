@@ -47,14 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .infogeo import (
-    PSD_TOL,
-    EllipseForm,
-    InfoMatrix2,
-    min_eig_blocks,
-    rdm,
-    speb_blocks,
-)
+from .infogeo import EllipseForm, InfoMatrix2, rdm, rejected_blocks, speb_blocks
 from .network import NetworkEfim, Topology, build_efim
 
 __all__ = [
@@ -312,15 +305,6 @@ def _symmetric(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rejected(blocks: np.ndarray) -> np.ndarray:
-    """Per block of a symmetric stack, whether ``InfoMatrix2`` rejects it:
-    a nonfinite entry, or not PSD within ``PSD_TOL`` of its trace."""
-    a11, a12, a22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
-    tol = PSD_TOL * np.maximum(a11 + a22, 0.0)
-    finite = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(a22)
-    return ~finite | (a11 < -tol) | (a22 < -tol) | (min_eig_blocks(blocks) < -tol)
-
-
 def bound_spebs(net: NetworkEfim) -> tuple[np.ndarray, np.ndarray]:
     """Every agent's SPEB of J_L and of J_U, as arrays in agent order.
 
@@ -335,7 +319,7 @@ def bound_spebs(net: NetworkEfim) -> tuple[np.ndarray, np.ndarray]:
     arrays = _bounds_arrays(net)
     low, high = _symmetric(arrays[0]), _symmetric(arrays[1])
     with np.errstate(invalid="ignore", over="ignore"):
-        faults = _rejected(low) | _rejected(high)
+        faults = rejected_blocks(low) | rejected_blocks(high)
     for k in np.flatnonzero(faults):
         _agent_bounds(net, arrays, k)  # raises the constructors' own error
     return speb_blocks(low), speb_blocks(high)

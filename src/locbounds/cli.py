@@ -140,7 +140,7 @@ def _load_network(path: str) -> NetworkEfim:
     doc = load_config(path)
     if doc.topology is None:
         raise _InputError("config has no network section")
-    if not doc.topology.agents:
+    if not doc.topology.is_agent.any():
         raise _InputError("config network has no agents")
     return build_efim(doc.topology)
 
@@ -156,6 +156,8 @@ def _cmd_speb(args) -> int:
 
     angles = [0.0, math.pi / 2.0]
     for deg in args.dpeb_deg or ():
+        if not math.isfinite(deg):
+            raise _InputError(f"--dpeb-deg must be finite, got {deg!r}")
         angles.append(math.radians(deg))
 
     records = []
@@ -233,7 +235,10 @@ def _cmd_bounds(args) -> int:
     records = []
     any_unlocalizable = False
     # the loose information J_L bounds the error from above, J_U from below
-    uppers, lowers = bound_spebs(net)
+    try:
+        uppers, lowers = bound_spebs(net)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     exacts = speb_blocks(net.agent_info)
     for agent_id, exact, lower, upper in zip(
         net.agent_ids, exacts.tolist(), lowers.tolist(), uppers.tolist()
@@ -350,6 +355,8 @@ def _cmd_rii(args) -> int:
             values = [float(p) for p in parts]
         except ValueError:
             raise _InputError(f"unparseable --pathloss value {args.pathloss!r}") from None
+        if not all(map(math.isfinite, values[:4])):
+            raise _InputError(f"--pathloss d, b, z and r0 must be finite, got {args.pathloss!r}")
         d, b = values[0], values[1]
         z = values[2] if len(values) > 2 else 1.0
         r0 = values[3] if len(values) > 3 else 0.0

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .experiments import ExperimentSpec, default_spec
-from .network import Node, Topology, first_link_fault
+from .network import Topology, first_link_fault, first_node_fault
 from .ranging import (
     SPEED_OF_LIGHT,
     MultipathChannel,
@@ -326,23 +326,26 @@ def load_config(path: str) -> ConfigDoc:
 
 def _resolve_network(raw: dict, base_dir: str) -> Topology:
     network = raw["network"]
-    nodes = []
-    for i, entry in enumerate(network["nodes"]):
-        prior = entry.get("prior")
-        try:
-            node = Node(
-                node_id=entry["id"],
-                kind=entry["kind"],
-                position=entry["position"],
-                prior_info=prior["info"] if prior else None,
-                prior_mean=prior.get("mean") if prior else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), location=f"network/nodes/{i}") from exc
-        nodes.append(node)
+    entries = network["nodes"]
+    ids = [entry["id"] for entry in entries]
+    is_agent = np.array([entry["kind"] == "agent" for entry in entries], dtype=bool)
+    positions = np.array([entry["position"] for entry in entries], dtype=float)
+    priors = [entry.get("prior", {}) for entry in entries]
+    none = [math.nan, math.nan]
+    info = np.array([p.get("info", [none, none]) for p in priors], dtype=float)
+    mean = np.array([p.get("mean", none) for p in priors], dtype=float)
+    # NaN is no prior, so a given prior of NaNs keeps only its first NaN: it
+    # still fails ``Node``'s checks, with their message
+    for key, values in (("info", info), ("mean", mean)):
+        flat = values.reshape(len(priors), -1)
+        flat[[key in p for p in priors] & np.isnan(flat).all(axis=1), 1:] = 0.0
+    fault = first_node_fault(is_agent, positions, info, mean)
+    if fault is not None:
+        raise ConfigError(fault[1], location=f"network/nodes/{fault[0]}")
     # a repeated id resolves to its last node here; Topology then rejects it
-    index = {node.node_id: k for k, node in enumerate(nodes)}
-    positions = np.array([node.eval_position() for node in nodes]).reshape(-1, 2)
+    index = {node_id: k for k, node_id in enumerate(ids)}
+    # each node's evaluation position: its prior mean, if it has one
+    evaluated = np.where(np.isnan(mean), positions, mean)
 
     waveforms: dict[str, WaveformModel] = {}
     for name, wf in raw.get("waveforms", {}).items():
@@ -355,10 +358,11 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
             c=wf.get("c", SPEED_OF_LIGHT),
         )
 
-    links = _resolve_links(network.get("links", []), index, positions, waveforms)
+    links = _resolve_links(network.get("links", []), index, evaluated, waveforms)
     try:
         return Topology.from_arrays(
-            tuple(nodes), *links, reciprocal=network.get("reciprocal", False)
+            is_agent, positions, *links, prior_info=info, prior_mean=mean, ids=ids,
+            reciprocal=network.get("reciprocal", False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc), location="network") from exc

@@ -34,20 +34,18 @@ draw's intensities come from ``rii_pathloss_batch``, bit for bit the
 values of ``rii_pathloss``. Repeat runs are byte-identical.
 
 The Monte Carlo studies (fig6, fig7, fig8, dense and extended scaling)
-run one loop: at every sweep point and trial it draws a network as arrays
-(``_dense_draw`` or ``_extended_draw``, whose arrays ``gen_dense`` and
-``gen_extended`` hand to ``Topology.from_arrays``), assembles its EFIM with
-``network.assemble_links``, the routine behind ``build_efim``, into
-``NetworkEfim``'s anchor stack and cooperation links, and takes
-the per-agent measures the kind needs (exact cooperative or anchors-only
-SPEB, or the SPEBs of the closed-form bounds from ``bound_spebs``, as
-arrays with no per-agent objects); each measure is aggregated into one
-output row per sweep point, and the summary, fits included, is computed
-from those aggregates. The log-log fits are ``scipy.stats.linregress``'s
-formulas written with numpy (``_fit_loglog``), so no study imports
-``scipy.stats``. No ``Node``, ``RangingLink`` or ``Topology`` is built on
-that path; the draws check the values their constructors would.
-``_COLUMNS`` lists the output columns of every kind.
+run one loop: at every sweep point and trial it draws a network with
+``gen_dense`` or ``gen_extended``, which hand their arrays to
+``Topology.from_arrays`` (no ``Node`` or ``RangingLink`` is built),
+assembles it with ``build_efim``, the path of the CLI and the demos, and
+takes the per-agent measures the kind needs (exact cooperative or
+anchors-only SPEB, or the SPEBs of the closed-form bounds from
+``bound_spebs``, as arrays with no per-agent objects); each measure is
+aggregated into one output row per sweep point, and the summary, fits
+included, is computed from those aggregates. The log-log fits are
+``scipy.stats.linregress``'s formulas written with numpy
+(``_fit_loglog``), so no study imports ``scipy.stats``. ``_COLUMNS``
+lists the output columns of every kind.
 
 Per-agent exact bounds are the SPEBs of ``NetworkEfim.agent_info``: every
 agent's equivalent information from a recursive-halving Schur reduction
@@ -83,9 +81,7 @@ from .bounds import bound_spebs, effective_rii
 # unused here; perfbench/layertrace.py traces this name as the bounds layer
 from .bounds import efim_bounds_all  # noqa: F401
 from .infogeo import EllipseForm, speb_blocks
-from .network import NetworkEfim, Node, Topology, assemble_links
-# unused here; perfbench/layertrace.py traces this name as the assembly layer
-from .network import build_efim  # noqa: F401
+from .network import NetworkEfim, Topology, build_efim
 from .ranging import rii_pathloss_batch
 # unused here; perfbench/layertrace.py traces this name as the ranging layer
 from .ranging import rii_pathloss  # noqa: F401
@@ -314,49 +310,15 @@ def _fading_draws(spec_sigma_db: float, seed: int, trial: int, count: int) -> np
     return 10.0 ** (spec_sigma_db * rng.standard_normal(count) / 10.0)
 
 
-class _Draw(NamedTuple):
-    """One network draw as arrays. Nodes are the agents a0, a1, ... then the
-    anchors b0, b1, ...; every agent i receives one link from every other
-    node j, in (i, j) order, of intensity ``rii``."""
-
-    positions: np.ndarray  # (nodes, 2)
-    n_agents: int
-    src: np.ndarray  # receiver node index per link
-    dst: np.ndarray  # transmitter node index per link
-    rii: np.ndarray
-
-    @classmethod
-    def full_mesh(cls, positions: np.ndarray, n_agents: int, rii_of) -> "_Draw":
-        """The draw of agents at ``positions[:n_agents]`` and anchors after
-        them, with intensities ``rii_of(distances)``; checks the values
-        ``Node`` and ``RangingLink`` would."""
-        if not np.all(np.isfinite(positions)):
-            raise ValueError("position must be a finite 2-vector")
-        src, dst = np.nonzero(~np.eye(n_agents, len(positions), dtype=bool))
-        diff = positions[src] - positions[dst]
-        rii = np.asarray(rii_of(np.hypot(diff[:, 0], diff[:, 1])), dtype=float)
-        if not np.all(np.isfinite(rii) & (rii >= 0.0)):
-            raise ValueError("rii must be finite and nonnegative")
-        return cls(positions, n_agents, src, dst, rii)
-
-    def topology(self) -> Topology:
-        ids = [f"a{i}" for i in range(self.n_agents)]
-        ids += [f"b{i}" for i in range(len(self.positions) - self.n_agents)]
-        nodes = tuple(
-            Node(node_id, "agent" if k < self.n_agents else "anchor", p)
-            for k, (node_id, p) in enumerate(zip(ids, self.positions))
-        )
-        return Topology.from_arrays(nodes, self.src, self.dst, self.rii)
-
-    def efim(self) -> NetworkEfim:
-        """The draw's network information; equals ``build_efim(self.topology())``."""
-        if self.n_agents == 0:
-            raise ValueError("topology has no agents")
-        n_nodes = len(self.positions)
-        agent_of = np.where(np.arange(n_nodes) < self.n_agents, np.arange(n_nodes), -1)
-        anchor, *links = assemble_links(agent_of, self.positions, self.src, self.dst, self.rii)
-        ids = tuple(f"a{i}" for i in range(self.n_agents))
-        return NetworkEfim(ids, anchor, np.zeros_like(anchor), *links)
+def _full_mesh(positions: np.ndarray, n_agents: int, rii_of) -> Topology:
+    """The topology of agents at ``positions[:n_agents]`` and anchors after
+    them, named by default (a0, a1, ..., then b0, b1, ...), in which every
+    agent i receives one link from every other node j, in (i, j) order, of
+    intensity ``rii_of(distances)``."""
+    src, dst = np.nonzero(~np.eye(n_agents, len(positions), dtype=bool))
+    diff = positions[src] - positions[dst]
+    rii = rii_of(np.hypot(diff[:, 0], diff[:, 1]))
+    return Topology.from_arrays(np.arange(len(positions)) < n_agents, positions, src, dst, rii)
 
 
 def gen_dense(
@@ -379,32 +341,6 @@ def gen_dense(
     Identical (seed, trial) reproduce the topology exactly, and agent i's
     position does not depend on ``na``.
     """
-    return _dense_draw(
-        seed,
-        na,
-        nb=nb,
-        side=side,
-        anchor_layout=anchor_layout,
-        d=d,
-        k_const=k_const,
-        fading_sigma_db=fading_sigma_db,
-        trial=trial,
-    ).topology()
-
-
-def _dense_draw(
-    seed: int,
-    na: int,
-    *,
-    nb: Optional[int],
-    side: float,
-    anchor_layout: str,
-    d: float,
-    k_const: float,
-    fading_sigma_db: float,
-    trial: int,
-) -> _Draw:
-    """``gen_dense``'s draw as arrays."""
     if na < 0 or (nb is not None and nb < 0):
         raise ValueError("node counts must be nonnegative")
     half = side / 2.0
@@ -425,7 +361,7 @@ def _dense_draw(
         with np.errstate(divide="ignore", over="ignore"):
             return k_const * fading / dist**2
 
-    return _Draw.full_mesh(positions, na, rii_of)
+    return _full_mesh(positions, na, rii_of)
 
 
 def gen_extended(
@@ -449,36 +385,6 @@ def gen_extended(
     round(rho * pi * R^2) or Poisson with that mean. Link intensities follow
     the truncated path-loss model z / r^(2b) for r >= r0.
     """
-    return _extended_draw(
-        seed,
-        rho_b=rho_b,
-        rho_a=rho_a,
-        radius=radius,
-        r0=r0,
-        rmax=rmax,
-        b=b,
-        k_const=k_const,
-        poisson_counts=poisson_counts,
-        fading_sigma_db=fading_sigma_db,
-        trial=trial,
-    ).topology()
-
-
-def _extended_draw(
-    seed: int,
-    *,
-    rho_b: float,
-    rho_a: float,
-    radius: float,
-    r0: float,
-    rmax: Optional[float],
-    b: float,
-    k_const: float,
-    poisson_counts: bool,
-    fading_sigma_db: float,
-    trial: int,
-) -> _Draw:
-    """``gen_extended``'s draw as arrays."""
     if radius <= r0:
         raise ValueError("radius must exceed the minimum node separation r0")
     area = math.pi * radius**2
@@ -503,7 +409,7 @@ def _extended_draw(
         rii[links] = rii_pathloss_batch(dist[links], b, z=z[links], r0=r0, rmax=rmax)
         return rii
 
-    return _Draw.full_mesh(positions, 1 + na_extra, rii_of)
+    return _full_mesh(positions, 1 + na_extra, rii_of)
 
 
 def _per_agent_spebs(net: NetworkEfim) -> np.ndarray:
@@ -726,10 +632,9 @@ def _run_study(spec: ExperimentSpec, kind: str) -> ExperimentResult:
 
 
 def _draw(spec: ExperimentSpec, kind: str, point: dict, trial: int) -> NetworkEfim:
-    """The network of one trial at one sweep point, drawn and assembled as
-    arrays (``gen_dense``/``gen_extended`` build the same draw as objects)."""
+    """The network of one trial at one sweep point."""
     if kind == "extended_scaling":
-        draw = _extended_draw(
+        topo = gen_extended(
             spec.seed,
             rho_b=spec.rho_b,
             rho_a=spec.rho_a if spec.cooperative else 0.0,
@@ -744,7 +649,7 @@ def _draw(spec: ExperimentSpec, kind: str, point: dict, trial: int) -> NetworkEf
         )
     else:
         layout = point["layout"]
-        draw = _dense_draw(
+        topo = gen_dense(
             spec.seed,
             point["na"],
             nb=spec.nb if layout == "random" else None,
@@ -755,7 +660,7 @@ def _draw(spec: ExperimentSpec, kind: str, point: dict, trial: int) -> NetworkEf
             fading_sigma_db=spec.fading_sigma_db,
             trial=trial,
         )
-    return draw.efim()
+    return build_efim(topo)
 
 
 def _draw_measures(net: NetworkEfim, names: set[str]) -> dict[str, np.ndarray]:

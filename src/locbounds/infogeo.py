@@ -47,6 +47,7 @@ __all__ = [
     "speb",
     "speb_blocks",
     "min_eig_blocks",
+    "rejected_blocks",
     "dpeb",
     "schur_reduce",
     "fuse_anchor",
@@ -281,6 +282,15 @@ def min_eig_blocks(blocks: np.ndarray) -> np.ndarray:
     stack, in the closed form of ``InfoMatrix2.eigenvalues``."""
     a11, a12, a22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
     return 0.5 * (a11 + a22) - np.hypot(0.5 * (a11 - a22), a12)
+
+
+def rejected_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Per block of a symmetric stack, whether ``InfoMatrix2`` rejects it:
+    a nonfinite entry, or not PSD within ``PSD_TOL`` of its trace."""
+    a11, a12, a22 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    tol = PSD_TOL * np.maximum(a11 + a22, 0.0)
+    finite = np.isfinite(a11) & np.isfinite(a12) & np.isfinite(a22)
+    return ~finite | (a11 < -tol) | (a22 < -tol) | (min_eig_blocks(blocks) < -tol)
 
 
 def speb_blocks(blocks: np.ndarray) -> np.ndarray:

@@ -13,15 +13,16 @@ When agents carry position priors, the ranging geometry is evaluated at the
 prior means (the concentrated-prior regime); the fully general expectation
 over random positions is out of scope.
 
-``agent_info`` holds every agent's equivalent information, so the
-reduction and its singularity verdict are decided here alone, per agent.
-``build_efim`` is ``assemble_links`` on a ``Topology``'s link arrays plus
-the priors, as the Monte Carlo studies' draws are; ``join`` appends the
-newcomer's blocks and links and ``leave`` masks them, both equal to batch
-re-assembly bit for bit. ``temporal_efim`` reuses the machinery for a
-single agent ranging against itself over time; ``anchor_equivalence_check``
-verifies numerically that an agent with a huge position prior behaves like
-an anchor once reduced out.
+A ``Topology`` holds its nodes and links as arrays, so the config
+loader, the Monte Carlo draws and hand-built networks are one input, and
+``build_efim`` (``assemble_links`` on its arrays, plus the priors) is the
+one assembly. ``agent_info`` holds every agent's equivalent information,
+so the reduction and its singularity verdict are decided here alone, per
+agent. ``join`` appends the newcomer's blocks and links and ``leave``
+masks them, both equal to batch re-assembly bit for bit. ``temporal_efim``
+reuses the machinery for a single agent ranging against itself over time;
+``anchor_equivalence_check`` verifies numerically that an agent with a
+huge position prior behaves like an anchor once reduced out.
 
 ``Topology`` and ``NetworkEfim`` are immutable snapshots; updates return new
 values, so concurrent readers are safe.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,6 +44,7 @@ from .infogeo import (
     SingularComplementError,
     is_singular,
     min_eig_blocks,
+    rejected_blocks,
     schur_reduce,
     speb_blocks,
 )
@@ -116,8 +119,39 @@ class Node:
         return self.position
 
 
-# a topology's link arrays, in ``Topology.from_arrays``'s order
-_LINK_FIELDS = ("src", "dst", "rii", "phi", "distance")
+# a topology's node and link arrays, with dtypes, in ``Topology.from_arrays``'s order
+_NODE_FIELDS = {"is_agent": bool, "positions": float, "prior_info": float, "prior_mean": float}
+_LINK_FIELDS = {"src": np.intp, "dst": np.intp, "rii": float, "phi": float, "distance": float}
+
+
+def _node(node_id: str, is_agent: bool, position, prior_info, prior_mean) -> Node:
+    """The ``Node`` of one node's array entries, NaN for no prior."""
+    given = lambda v: None if np.isnan(v).all() else v  # noqa: E731
+    kind = "agent" if is_agent else "anchor"
+    return Node(node_id, kind, position, given(prior_info), given(prior_mean))
+
+
+def first_node_fault(is_agent, positions, prior_info, prior_mean) -> Optional[tuple[int, str]]:
+    """(index, message) of the first node that fails ``Node``'s checks, in
+    node order, run on node arrays with NaN for no prior; None if every
+    node passes. Array masks find the failing nodes, and the first is built
+    as a ``Node``, which raises its own error."""
+    # finite x and y: ``np.isfinite(positions).all(axis=1)``, in a tenth of its time
+    bad = ~(np.isfinite(positions[:, 0]) & np.isfinite(positions[:, 1]))
+    if not (np.isnan(prior_info).all() and np.isnan(prior_mean).all()):  # a node has a prior
+        has_info = ~np.isnan(prior_info).all(axis=(1, 2))
+        has_mean = ~np.isnan(prior_mean).all(axis=1)
+        bad |= (has_info | has_mean) & ~is_agent | has_mean & ~has_info
+        with np.errstate(invalid="ignore", over="ignore"):
+            info = 0.5 * (prior_info + prior_info.transpose(0, 2, 1))
+            bad |= has_info & rejected_blocks(info)
+        bad |= has_mean & ~np.isfinite(prior_mean).all(axis=1)
+    for k in np.flatnonzero(bad).tolist():
+        try:
+            _node("", is_agent[k], positions[k], prior_info[k], prior_mean[k])
+        except ValueError as exc:
+            return k, str(exc)
+    return None
 
 
 def first_link_fault(src, dst, rii, phi, distance) -> Optional[tuple[int, str]]:
@@ -143,78 +177,118 @@ class Topology:
     reverse at equal intensity (and both directions, if given, must agree;
     of a direction given twice, the last counts).
 
-    The links are arrays: receiver and transmitter node indices
-    ``src``/``dst``, intensities ``rii``, and ``phi``/``distance``
-    overrides, NaN where the positions give the value. ``Topology(nodes,
-    links)`` converts ``RangingLink``s once, ``from_arrays`` takes the
-    arrays, and ``links`` reads them back as ``RangingLink``s. Either way
-    the links are validated once, as arrays, with ``RangingLink``'s
-    messages.
+    Nodes and links are read-only arrays. A node has a kind (``is_agent``),
+    a position (``positions``, (n, 2)) and, if an agent, maybe a prior:
+    ``prior_info`` (n, 2, 2) and ``prior_mean`` (n, 2), NaN where none is
+    given. Node ``ids`` are given, or by default ``a<i>``/``b<i>`` for the
+    i-th agent/anchor, built when first read. A link has receiver and
+    transmitter node indices ``src``/``dst``, intensity ``rii``, and
+    ``phi``/``distance`` overrides, NaN where the positions give the value.
+    ``Topology(nodes, links)`` converts ``Node``s and ``RangingLink``s once,
+    ``from_arrays`` takes the arrays, and ``nodes`` and ``links`` read them
+    back as objects. Either way nodes and links are validated once, as
+    arrays, with ``Node``'s and ``RangingLink``'s messages.
     """
 
-    nodes: tuple[Node, ...]
+    is_agent: np.ndarray
+    positions: np.ndarray
+    prior_info: np.ndarray
+    prior_mean: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     rii: np.ndarray
     phi: np.ndarray
     distance: np.ndarray
     reciprocal: bool
+    _ids: Optional[tuple[str, ...]]
 
     def __init__(
         self, nodes: Sequence[Node], links: Iterable[RangingLink], reciprocal: bool = False
     ) -> None:
         nodes, links = tuple(nodes), tuple(links)
-        slot = {node.node_id: i for i, node in enumerate(nodes)}
+        ids = tuple(n.node_id for n in nodes)
+        slot = {node_id: i for i, node_id in enumerate(ids)}
         try:
             ends = [(slot[link.from_id], slot[link.to_id]) for link in links]
         except KeyError as exc:
             raise ValueError(f"unknown node id {exc.args[0]!r} in link") from None
         values = [(link.rii, link.phi, link.distance) for link in links]  # None is NaN
         ends = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-        self._setup(nodes, *ends, *np.array(values, dtype=float).reshape(-1, 3).T, reciprocal)
+        none = np.full((2, 2), np.nan)  # no prior
+        infos = [none if n.prior_info is None else n.prior_info for n in nodes]
+        means = [none[0] if n.prior_mean is None else n.prior_mean for n in nodes]
+        node_arrays = (
+            [n.is_agent for n in nodes],
+            np.reshape([n.position for n in nodes], (-1, 2)),
+            np.reshape(infos, (-1, 2, 2)),
+            np.reshape(means, (-1, 2)),
+        )
+        links = (*ends, *np.array(values, dtype=float).reshape(-1, 3).T)
+        self._setup(node_arrays, links, ids, reciprocal)
 
     @classmethod
-    def from_arrays(cls, nodes, src, dst, rii, phi=None, distance=None, reciprocal=False):
-        """The topology of links given as arrays; overrides are NaN, or
-        None for all, where there is none."""
+    def from_arrays(
+        cls, is_agent, positions, src, dst, rii, phi=None, distance=None, *,
+        prior_info=None, prior_mean=None, ids=None, reciprocal=False,
+    ):
+        """The topology of nodes and links given as arrays; priors and
+        overrides are NaN, or None for all, where there is none."""
         topo = cls.__new__(cls)
-        none = np.full(len(rii), np.nan)
-        phi, distance = (none if v is None else v for v in (phi, distance))
-        topo._setup(nodes, src, dst, rii, phi, distance, reciprocal)
+        nodes = (is_agent, positions, prior_info, prior_mean)
+        topo._setup(nodes, (src, dst, rii, phi, distance), ids, reciprocal)
         return topo
 
-    def _setup(self, nodes, src, dst, rii, phi, distance, reciprocal) -> None:
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "reciprocal", bool(reciprocal))
-        for name, values in zip(_LINK_FIELDS, (src, dst, rii, phi, distance)):
-            arr = np.array(values, dtype=np.intp if name in ("src", "dst") else float)
+    def _setup(self, nodes, links, ids, reciprocal) -> None:
+        """Copies and validates the arrays; None is all NaN, one NaN read
+        with zero strides (read-only like the copies, held in no memory)."""
+        n, m = len(nodes[0]), len(links[2])
+        shapes = ((n,), (n, 2), (n, 2, 2), (n, 2)) + ((m,),) * 5
+        fields = zip((_NODE_FIELDS | _LINK_FIELDS).items(), nodes + links, shapes)
+        arrays = {}
+        for (name, dtype), values, shape in fields:
+            if values is None:
+                arr = np.ndarray(shape, buffer=np.full(1, np.nan), strides=(0,) * len(shape))
+            else:
+                arr = np.array(values, dtype=dtype)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            arrays[name] = arr
+        fault = first_node_fault(*(arrays[name] for name in _NODE_FIELDS))
+        if fault is not None:
+            raise ValueError(fault[1])
+        for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        ids = [n.node_id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        object.__setattr__(self, "reciprocal", bool(reciprocal))
+        object.__setattr__(self, "_ids", None if ids is None else tuple(ids))
+        if self._ids is not None and len(self._ids) != n:
+            raise ValueError(f"ids must have shape {(n,)}")
+        if self._ids is not None and len(set(self._ids)) != n:
             raise ValueError("node ids must be unique")
         fault = first_link_fault(*self._link_arrays)
         if fault is not None:
             raise ValueError(fault[1])
-        anchor = self.src[~self._is_agent[self.src]]
+        anchor = self.src[~self.is_agent[self.src]]
         if anchor.size:
-            raise ValueError(f"link receiver {ids[anchor[0]]!r} is an anchor; only agents receive")
+            receiver = self.ids[anchor[0]]
+            raise ValueError(f"link receiver {receiver!r} is an anchor; only agents receive")
         if not self.reciprocal:
             return
         # the last intensity of each agent-agent direction, directions in link order
-        coop = self._is_agent[self.src] & self._is_agent[self.dst]
-        key = self.src[coop] * len(ids) + self.dst[coop]
+        coop = self.is_agent[self.src] & self.is_agent[self.dst]
+        key = self.src[coop] * n + self.dst[coop]
         pairs, first = np.unique(key, return_index=True)
         _, from_end = np.unique(key[::-1], return_index=True)
         lam = self.rii[coop][key.size - 1 - from_end]
-        reverse = pairs % len(ids) * len(ids) + pairs // len(ids)
+        reverse = pairs % n * n + pairs // n
         at = np.searchsorted(pairs, reverse).clip(max=pairs.size - 1)
         # math.isclose(rel_tol=1e-9) fails, where the reverse direction is given
         bad = (pairs[at] == reverse) & (
             np.abs(lam[at] - lam) > 1e-9 * np.maximum(np.abs(lam[at]), np.abs(lam))
         )
         if bad.any():
-            k, m = divmod(int(pairs[bad][np.argmin(first[bad])]), len(ids))
+            k, m = divmod(int(pairs[bad][np.argmin(first[bad])]), n)
+            ids = self.ids
             raise ValueError(
                 f"reciprocal topology but links {ids[k]}<->{ids[m]} carry different intensities"
             )
@@ -225,9 +299,33 @@ class Topology:
         return tuple(getattr(self, name) for name in _LINK_FIELDS)
 
     @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """The node ids, in node order."""
+        if self._ids is not None:
+            return self._ids
+        nth = np.where(self.is_agent, np.cumsum(self.is_agent), np.cumsum(~self.is_agent)) - 1
+        return tuple(
+            f"{'a' if agent else 'b'}{i}" for agent, i in zip(self.is_agent.tolist(), nth.tolist())
+        )
+
+    @cached_property
+    def agent_ids(self) -> tuple[str, ...]:
+        """The agents' ids, in node order, without building the anchors'
+        default ids."""
+        if self._ids is None:
+            return tuple(f"a{i}" for i in range(np.count_nonzero(self.is_agent)))
+        return tuple(compress(self._ids, self.is_agent.tolist()))
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        """The nodes as ``Node``s, built on first access."""
+        arrays = (self.is_agent.tolist(), self.positions, self.prior_info, self.prior_mean)
+        return tuple(map(_node, self.ids, *arrays))
+
+    @cached_property
     def links(self) -> tuple[RangingLink, ...]:
         """The links as ``RangingLink``s, built on first access."""
-        ids = [n.node_id for n in self.nodes]
+        ids = self.ids
         given = lambda v: None if math.isnan(v) else v  # noqa: E731
         return tuple(
             RangingLink(ids[k], ids[j], lam, given(phi), given(dist))
@@ -235,42 +333,42 @@ class Topology:
         )
 
     @cached_property
-    def _is_agent(self) -> np.ndarray:
-        return np.array([n.is_agent for n in self.nodes], dtype=bool)
-
-    @cached_property
     def _agent_of(self) -> np.ndarray:
         """Each node's agent index, -1 for anchors."""
-        return np.where(self._is_agent, np.cumsum(self._is_agent) - 1, -1)
+        return np.where(self.is_agent, np.cumsum(self.is_agent) - 1, -1)
 
     @cached_property
-    def _positions(self) -> np.ndarray:
-        """Each node's evaluation position, an (n_nodes, 2) array."""
-        return np.array([node.eval_position() for node in self.nodes]).reshape(-1, 2)
+    def _eval_positions(self) -> np.ndarray:
+        """Each node's evaluation position (its prior mean if it has one),
+        an (n_nodes, 2) array."""
+        return np.where(np.isnan(self.prior_mean), self.positions, self.prior_mean)
 
     @cached_property
-    def _by_id(self) -> Mapping[str, Node]:
-        return {n.node_id: n for n in self.nodes}
+    def _slot(self) -> Mapping[str, int]:
+        return {node_id: k for k, node_id in enumerate(self.ids)}
 
-    def node(self, node_id: str) -> Node:
+    def index(self, node_id: str) -> int:
+        """The node's index in node order."""
         try:
-            return self._by_id[node_id]
+            return self._slot[node_id]
         except KeyError:
             raise KeyError(f"unknown node id {node_id!r}") from None
 
+    def node(self, node_id: str) -> Node:
+        return self.nodes[self.index(node_id)]
+
     @cached_property
     def agents(self) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.is_agent)
+        return tuple(compress(self.nodes, self.is_agent.tolist()))
 
     @cached_property
     def anchors(self) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if not n.is_agent)
+        return tuple(compress(self.nodes, (~self.is_agent).tolist()))
 
     def link_geometry(self, link: RangingLink) -> tuple[float, float]:
         """Resolved (phi, distance) of a link, honoring explicit overrides."""
-        src = self.node(link.from_id)
-        dst = self.node(link.to_id)
-        dx = src.eval_position() - dst.eval_position()
+        pos = self._eval_positions
+        dx = pos[self.index(link.from_id)] - pos[self.index(link.to_id)]
         phi = link.phi if link.phi is not None else math.atan2(dx[1], dx[0])
         distance = link.distance if link.distance is not None else float(np.hypot(dx[0], dx[1]))
         return phi, distance
@@ -535,8 +633,8 @@ def assemble_links(
     src: np.ndarray,
     dst: np.ndarray,
     rii: np.ndarray,
-    phi: Optional[np.ndarray] = None,
-    reciprocal: bool = False,
+    phi: np.ndarray,
+    reciprocal: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Anchor stack and cooperation links ``(anchor, rx, tx, terms)``, as
     ``NetworkEfim`` holds them, of links given as arrays.
@@ -544,7 +642,7 @@ def assemble_links(
     ``agent_of`` holds each node's agent index (-1 for anchors) and ``pos``
     its evaluation position; link i is received at node ``src[i]`` from
     node ``dst[i]`` with intensity ``rii[i]``, at the bearing ``phi[i]``
-    where given and not NaN, else at the bearing between the positions.
+    where it is not NaN, else at the bearing between the positions.
     Each link carries rii * R(phi): a link from an anchor adds it to its
     receiver's anchor block in link order, a link between agents keeps it
     as its term, doubled under ``reciprocal`` (``Topology``'s rule) where
@@ -552,9 +650,7 @@ def assemble_links(
     """
     k, m = agent_of[src], agent_of[dst]
     d = pos[src] - pos[dst]
-    bearing = np.arctan2(d[:, 1], d[:, 0])
-    if phi is not None:
-        bearing = np.where(np.isnan(phi), bearing, phi)
+    bearing = np.where(np.isnan(phi), np.arctan2(d[:, 1], d[:, 0]), phi)
     c, s = np.cos(bearing), np.sin(bearing)
     terms = np.empty((rii.size, 2, 2))
     terms[:, 0, 0] = rii * (c * c)
@@ -580,16 +676,14 @@ def build_efim(topo: Topology) -> NetworkEfim:
     ``reciprocal=True`` a link whose reverse is absent from the topology
     counts twice (a present reverse link counts as given, even at zero
     intensity). Independent agent priors fill the prior stack."""
-    agents = topo.agents
-    if not agents:
+    if not topo.is_agent.any():
         raise ValueError("topology has no agents")
-    prior = np.array([np.zeros((2, 2)) if a.prior_info is None else a.prior_info for a in agents])
+    info = topo.prior_info[topo.is_agent]
     anchor, rx, tx, terms = assemble_links(
-        topo._agent_of, topo._positions, topo.src, topo.dst, topo.rii, topo.phi,
-        reciprocal=topo.reciprocal,
+        topo._agent_of, topo._eval_positions, *topo._link_arrays[:4], topo.reciprocal
     )
-    ids = tuple(n.node_id for n in agents)
-    return NetworkEfim(ids, anchor, prior, rx, tx, terms, topology=topo)
+    prior = np.where(np.isnan(info), 0.0, info)
+    return NetworkEfim(topo.agent_ids, anchor, prior, rx, tx, terms, topology=topo)
 
 
 def agent_efim(net: NetworkEfim, agent_id: str) -> InfoMatrix2:
@@ -612,24 +706,22 @@ def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> Net
     if not new_agent.is_agent:
         raise ValueError("only agents can join; anchors are static topology")
     topo = net.topology
-    if new_agent.node_id in topo._by_id:
+    if new_agent.node_id in topo._slot:
         raise ValueError(f"duplicate node id {new_agent.node_id!r}")
     links = tuple(links)
     if any(new_agent.node_id not in (link.from_id, link.to_id) for link in links):
         raise ValueError("join links must involve the joining agent")
 
-    nodes = topo.nodes + (new_agent,)
-    added = Topology(nodes, links)
+    added = Topology(topo.nodes + (new_agent,), links)
+    links = map(np.concatenate, zip(topo._link_arrays, added._link_arrays))
     new_topo = Topology.from_arrays(
-        nodes,
-        *map(np.concatenate, zip(topo._link_arrays, added._link_arrays)),
-        reciprocal=topo.reciprocal,
+        added.is_agent, added.positions, *links, prior_info=added.prior_info,
+        prior_mean=added.prior_mean, ids=added.ids, reciprocal=topo.reciprocal,
     )
     # every pair in ``links`` holds the newcomer, the last agent, so the
     # reciprocal rule needs no other link and no other agent's anchor block
     anchor, rx, tx, terms = assemble_links(
-        new_topo._agent_of, new_topo._positions, added.src, added.dst, added.rii, added.phi,
-        reciprocal=topo.reciprocal,
+        new_topo._agent_of, new_topo._eval_positions, *added._link_arrays[:4], topo.reciprocal
     )
     prior = np.zeros((1, 2, 2)) if new_agent.prior_info is None else new_agent.prior_info[None]
     return NetworkEfim(
@@ -653,13 +745,14 @@ def leave(net: NetworkEfim, agent_id: str) -> NetworkEfim:
     new_topo = None
     if net.topology is not None:
         topo = net.topology
-        gone = [n.node_id for n in topo.nodes].index(agent_id)
+        gone = topo.index(agent_id)
+        stays = np.arange(len(topo.is_agent)) != gone
+        nodes = (topo.is_agent, topo.positions, topo.prior_info, topo.prior_mean)
+        is_agent, positions, info, mean = (a[stays] for a in nodes)
         src, dst, *rest = (a[(topo.src != gone) & (topo.dst != gone)] for a in topo._link_arrays)
         new_topo = Topology.from_arrays(
-            topo.nodes[:gone] + topo.nodes[gone + 1 :],
-            src - (src > gone),
-            dst - (dst > gone),
-            *rest,
+            is_agent, positions, src - (src > gone), dst - (dst > gone), *rest,
+            prior_info=info, prior_mean=mean, ids=topo.ids[:gone] + topo.ids[gone + 1 :],
             reciprocal=topo.reciprocal,
         )
 
@@ -758,18 +851,14 @@ def anchor_equivalence_check(topo: Topology, agent_id: str, t2: float) -> float:
     """
     if t2 < 0.0:
         raise ValueError("prior information t2 must be nonnegative")
-    node = topo.node(agent_id)
-    if not node.is_agent:
+    k = topo.index(agent_id)
+    if not topo.is_agent[k]:
         raise ValueError(f"{agent_id!r} must be an agent")
+    info, mean = topo.prior_info.copy(), topo.prior_mean.copy()
+    info[k], mean[k] = np.diag([t2, t2]), np.nan
     prior_topo = Topology.from_arrays(
-        tuple(
-            Node(n.node_id, n.kind, n.position, prior_info=np.diag([t2, t2]))
-            if n.node_id == agent_id
-            else n
-            for n in topo.nodes
-        ),
-        *topo._link_arrays,
-        reciprocal=topo.reciprocal,
+        topo.is_agent, topo.positions, *topo._link_arrays,
+        prior_info=info, prior_mean=mean, ids=topo.ids, reciprocal=topo.reciprocal,
     )
     net = build_efim(prior_topo)
     k = net.index(agent_id)

@@ -130,8 +130,8 @@ class WaveformModel:
             raise ValueError("pulse must be a 1-D array with at least 8 samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("pulse samples must be finite")
-        if self.dt <= 0.0 or self.n0_half <= 0.0 or self.c <= 0.0:
-            raise ValueError("dt, n0_half and c must be positive")
+        if not all(0.0 < v < math.inf for v in (self.dt, self.n0_half, self.c)):
+            raise ValueError("dt, n0_half and c must be finite and positive")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if self.energy <= 0.0:

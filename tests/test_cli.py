@@ -67,6 +67,16 @@ TWO_AGENT_CONFIG = {
 }
 
 
+# TWO_AGENT_CONFIG with the pair's two directions at different bearings:
+# their cooperation block is not rank one, so the closed-form bounds do not
+# apply, while the exact reduction does
+TWO_BEARING_CONFIG = json.loads(json.dumps(TWO_AGENT_CONFIG))
+TWO_BEARING_CONFIG["network"]["links"][4]["phi_rad"] = 0.0
+TWO_BEARING_CONFIG["network"]["links"].append(
+    {"from": "u2", "to": "u1", "rii": 1.0, "phi_rad": 1.0}
+)
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=1))
@@ -134,6 +144,15 @@ class TestSpebCommand:
         header = capsys.readouterr().out.splitlines()[0]
         assert header.count("dpeb_m2@") == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+    def test_non_finite_dpeb_angle_exit_one(self, tmp_path, capsys, fmt, angle):
+        path = write_config(tmp_path, TOY_CONFIG)
+        assert main(["speb", path, f"--dpeb-deg={angle}", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --dpeb-deg must be finite, got {float(angle)!r}\n"
+
     def test_calls_share_no_parsed_state(self, tmp_path, capsys):
         """The parser is built once per process; the ``--dpeb-deg`` list of
         one call does not reach the next."""
@@ -192,6 +211,22 @@ _REJECTED_NETWORKS = {
         ' "prior": {"info": [[1, 0], [0, -1]]}}]}',
         "network/nodes/0: InfoMatrix2 is not PSD within tolerance",
     ),
+    # a given prior of NaNs is no absent prior
+    "nan_prior_info": (
+        '{"nodes": [{"id": "u", "kind": "agent", "position": [0, 0],'
+        ' "prior": {"info": [[NaN, NaN], [NaN, NaN]]}}]}',
+        "network/nodes/0: InfoMatrix2.a11 must be finite, got nan",
+    ),
+    "nan_prior_mean": (
+        '{"nodes": [{"id": "u", "kind": "agent", "position": [0, 0],'
+        ' "prior": {"info": [[1, 0], [0, 1]], "mean": [NaN, NaN]}}]}',
+        "network/nodes/0: prior mean must be a finite 2-vector",
+    ),
+    "nan_anchor_prior": (
+        '{"nodes": [{"id": "u", "kind": "agent", "position": [0, 0]}, {"id": "A",'
+        ' "kind": "anchor", "position": [1, 0], "prior": {"info": [[NaN, NaN], [NaN, NaN]]}}]}',
+        "network/nodes/1: anchors carry no position prior",
+    ),
     "rii_overflow": (
         '{"nodes": %s, "links": [{"from": "u", "to": "A", "rii": 1e400}]}' % _NODES,
         "network/links/0: rii must be finite and nonnegative",
@@ -217,6 +252,7 @@ _REJECTED_NETWORKS = {
 # Documents holding a number beyond float range (NUMBER), each with the error
 # it gives; a 401-digit integer there reads as its float twin 1e400 does.
 _PULSE_W = '"waveforms": {"w": {"pulse_file": "pulse.txt"}}'
+_BAD_CONSTANTS = "dt, n0_half and c must be finite and positive"
 _BEYOND_FLOAT_RANGE = {
     "rii": (
         '{"nodes": %s, "links": [{"from": "u", "to": "A", "rii": NUMBER}]}' % _NODES,
@@ -236,6 +272,12 @@ _BEYOND_FLOAT_RANGE = {
         '{"nodes": %s, "links": [{"from": "u", "to": "A", "rii": 1.0, "distance_m": NUMBER}]}'
         % _NODES,
         "network/links/0: distance override must be finite and positive",
+    ),
+    "n0_half": (
+        '{"nodes": %s, "links": [{"from": "u", "to": "A", "waveform": "w",'
+        ' "channel": {"delays_s": [1e-8], "amplitudes": [1]}}]},'
+        ' "waveforms": {"w": {"pulse_file": "pulse.txt", "n0_half": NUMBER}}' % _NODES,
+        f"invalid pulse: {_BAD_CONSTANTS}",
     ),
 }
 
@@ -348,6 +390,18 @@ class TestBoundsCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         for line in lines[1:]:
             assert line.endswith("1.000000")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pair_at_two_bearings_exit_one(self, tmp_path, capsys, fmt):
+        path = write_config(tmp_path, TWO_BEARING_CONFIG)
+        assert main(["bounds", path, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: cooperation block between agents 'u1' and 'u2' is not rank one"
+        )
+        assert captured.err.count("\n") == 1
+        assert main(["speb", path, "--format", fmt]) == 0
 
     def test_no_cooperation_bounds_equal_exact(self, tmp_path, capsys):
         code = main(
@@ -618,6 +672,28 @@ class TestRiiCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: path-loss power d^(2b) = ")
 
+    @pytest.mark.parametrize("model", ["nan,1", "2,1,inf", "2,nan", "inf,1", "2,1,1,-inf"])
+    def test_non_finite_pathloss_exit_one(self, capsys, model):
+        assert main(["rii", "--pathloss", model]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --pathloss d, b, z and r0 must be finite, got {model!r}\n"
+
+    def test_pathloss_without_outer_cutoff(self, capsys):
+        assert main(["rii", "--pathloss", "2,1,1,0,inf"]) == 0
+        assert "lambda = 2.500000e-01 1/m^2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n0-half", "nan"), ("--n0-half", "inf"), ("--c", "inf")]
+    )
+    def test_non_finite_noise_or_speed_exit_one(self, tmp_path, capsys, flag, value):
+        pulse = write_pulse(tmp_path)
+        channel = '{"delays_s": [1e-8], "amplitudes": [1.0]}'
+        assert main(["rii", "--pulse", pulse, "--channel", channel, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid pulse: {_BAD_CONSTANTS}\n"
+
     def test_malformed_pulse_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("h1 h2\n1 2\nnot numeric here\n")
@@ -730,6 +806,18 @@ class TestConfigLoading:
         node = cfg.topology.node("u")
         np.testing.assert_array_equal(node.prior_info, [[2.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(node.eval_position(), [0.5, 0.0])
+
+    @pytest.mark.parametrize("field", ["n0_half", "c"])
+    def test_nan_waveform_constant_is_invalid_pulse(self, tmp_path, capsys, field):
+        """The JSON reader takes ``NaN`` and the schema's exclusiveMinimum
+        passes it; the pulse rejects it before any link reads it."""
+        write_pulse(tmp_path)
+        doc = _fault_document([])
+        doc["waveforms"]["w"][field] = float("nan")
+        assert main(["speb", write_config(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid pulse: {_BAD_CONSTANTS}\n"
 
     def test_pulse_file_nonuniform_rejected(self, tmp_path):
         bad = tmp_path / "bad_pulse.txt"

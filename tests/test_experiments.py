@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from locbounds import experiments
 from locbounds.experiments import (
     ExperimentSpec,
     angle_pair_spread,
@@ -509,6 +510,55 @@ class TestStudyDraws:
             net = _draw(spec, "extended_scaling", {"radius_m": radius}, trial)
             self.assert_same(net, build_efim(ref))
             assert net.n_agents == len(ref.agents)
+
+
+class TestStudyPath:
+    """The studies draw with ``gen_dense``/``gen_extended`` and assemble
+    with ``build_efim``, the public path, once per draw."""
+
+    @pytest.mark.parametrize(
+        "kind, generator, draws",
+        [("dense_scaling", "gen_dense", 5), ("extended_scaling", "gen_extended", 4)],
+    )
+    def test_one_public_draw_and_assembly_per_trial(self, monkeypatch, kind, generator, draws):
+        calls = {"draw": [], "efim": []}
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name].append((args, result))
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(
+            experiments, generator, recording("draw", getattr(experiments, generator))
+        )
+        monkeypatch.setattr(experiments, "build_efim", recording("efim", experiments.build_efim))
+        run_experiment(default_spec(kind, seed=5, trials=1))
+        assert len(calls["draw"]) == len(calls["efim"]) == draws
+        for (_, topo), ((arg,), _) in zip(calls["draw"], calls["efim"]):
+            assert isinstance(topo, Topology) and arg is topo
+
+    def test_large_draw_builds_no_node_or_link_objects(self, monkeypatch):
+        counts = {"node": 0, "link": 0}
+
+        def counting(name, init):
+            def wrapper(self):
+                counts[name] += 1
+                init(self)
+
+            return wrapper
+
+        monkeypatch.setattr(Node, "__post_init__", counting("node", Node.__post_init__))
+        monkeypatch.setattr(
+            RangingLink, "__post_init__", counting("link", RangingLink.__post_init__)
+        )
+        topo = gen_extended(2, rho_b=1.0, radius=math.sqrt(4096 / math.pi), r0=0.5)
+        net = build_efim(topo)
+        assert len(topo.is_agent) == 4097 and net.agent_ids == ("a0",)
+        assert counts == {"node": 0, "link": 0}
+        assert topo.nodes[1].node_id == "b0" and counts["node"] == 4097
 
 
 def _same_bits(a, b):

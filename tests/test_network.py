@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from locbounds import network
 from locbounds.bounds import bound_spebs
-from locbounds.experiments import _extended_draw
+from locbounds.experiments import gen_extended
 from locbounds.infogeo import (
     UNLOCALIZABLE,
     InfoMatrix2,
@@ -388,10 +388,9 @@ class TestAgentInfo:
 
         monkeypatch.setattr(network, "_pinv_reduce", recording)
         radius = math.sqrt(32 / (math.pi * 0.01))
-        net = _extended_draw(
-            1, rho_b=0.01, rho_a=0.02, radius=radius, r0=1.0, rmax=6.0, b=1.0,
-            k_const=1.0, poisson_counts=False, fading_sigma_db=0.0, trial=0,
-        ).efim()
+        net = build_efim(
+            gen_extended(1, rho_b=0.01, rho_a=0.02, radius=radius, r0=1.0, rmax=6.0)
+        )
         assert net.agent_info.shape == (65, 2, 2)
         coupled = net.total.array.reshape(65, 2, 65, 2).any(axis=(1, 3))
         _, labels = connected_components(coupled, directed=False)

@@ -89,6 +89,13 @@ class TestEffectiveBandwidth:
             beta_time = effective_bandwidth(pulse)
             assert abs(beta_time / beta_spec - 1.0) < tol
 
+    @pytest.mark.parametrize("field", ["dt", "n0_half", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_constants_must_be_finite_and_positive(self, field, value):
+        args = dict(samples=np.hanning(64), dt=1e-10, n0_half=1.0, c=3e8) | {field: value}
+        with pytest.raises(ValueError, match="dt, n0_half and c must be finite and positive"):
+            WaveformModel(**args)
+
     def test_zero_energy_rejected(self):
         with pytest.raises(ValueError):
             WaveformModel(samples=np.zeros(64), dt=1e-10)

@@ -1,10 +1,10 @@
-"""Property test of ``Topology``'s link arrays on generated networks with
-reciprocal pairs, repeated directed links, bearing and distance overrides
-and agent priors: ``RangingLink``s round-trip through the arrays exactly,
-a topology built by hand and the same network loaded from a config
-document assemble bit-identical information, and both reject a reciprocal
-mismatch as the per-link rule does (of a direction given twice, the last
-counts)."""
+"""Property test of ``Topology``'s node and link arrays on generated
+networks with reciprocal pairs, repeated directed links, bearing and
+distance overrides and agent priors: ``Node``s and ``RangingLink``s
+round-trip through the arrays exactly (no prior reads back as None), a
+topology built by hand and the same network loaded from a config document
+assemble bit-identical information, and both reject a reciprocal mismatch
+as the per-link rule does (of a direction given twice, the last counts)."""
 
 import json
 import math
@@ -133,6 +133,15 @@ def test_link_arrays_round_trip_and_match_the_config_path(network):
         loaded = load_config(path).topology
 
     assert topo.links == links
+    for view in (topo.nodes, loaded.nodes):
+        assert len(view) == len(nodes)
+        for got, want in zip(view, nodes):
+            assert (got.node_id, got.kind) == (want.node_id, want.kind)
+            for name in ("position", "prior_info", "prior_mean"):
+                value, expected = getattr(got, name), getattr(want, name)
+                assert (value is None) == (expected is None), name
+                if value is not None:
+                    assert np.array_equal(_bits(value), _bits(expected)), name
     again = Topology(topo.nodes, topo.links, reciprocal=topo.reciprocal)
     for name in ("src", "dst"):
         assert np.array_equal(getattr(again, name), getattr(topo, name))
