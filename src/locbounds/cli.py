@@ -161,65 +161,95 @@ def _cmd_speb(args) -> int:
         angles.append(math.radians(deg))
 
     records = []
-    any_unlocalizable = False
     for agent_id in agent_ids:
         j = agent_efim(net, agent_id)
         value = speb(j)
         localizable = value is not UNLOCALIZABLE
-        any_unlocalizable |= not localizable
-        record = {
-            "id": agent_id,
-            "localizable": localizable,
-            "speb_m2": float(value) if localizable else None,
-            "ellipse": None,
-            "dpeb": [],
-        }
         ell = to_ellipse(j)
-        record["ellipse"] = {
-            "mu_inv_m2": ell.mu,
-            "eta_inv_m2": ell.eta,
-            "theta_rad": ell.theta,
-        }
-        for ang in angles:
-            u = (math.cos(ang), math.sin(ang))
-            val = dpeb(j, u)
-            record["dpeb"].append(
-                {"angle_rad": ang, "value_m2": float(val) if val is not UNLOCALIZABLE else None}
-            )
-        records.append(record)
+        dpebs = (dpeb(j, (math.cos(ang), math.sin(ang))) for ang in angles)
+        records.append(
+            {
+                "id": agent_id,
+                "localizable": localizable,
+                "speb_m2": float(value) if localizable else None,
+                "ellipse": {"mu_inv_m2": ell.mu, "eta_inv_m2": ell.eta, "theta_rad": ell.theta},
+                "dpeb": [
+                    {"angle_rad": ang, "value_m2": None if val is UNLOCALIZABLE else float(val)}
+                    for ang, val in zip(angles, dpebs)
+                ],
+            }
+        )
+    units = {
+        "speb_m2": "m^2",
+        "dpeb.value_m2": "m^2",
+        "ellipse.mu_inv_m2": "1/m^2",
+        "ellipse.eta_inv_m2": "1/m^2",
+        "ellipse.theta_rad": "rad",
+    }
+    columns = ["speb_m2", "mu_inv_m2", "eta_inv_m2", "theta_rad"]
+    columns += [f"dpeb_m2@{ang:.6g}rad" for ang in angles]
 
+    def cells(rec):
+        ell = rec["ellipse"]
+        values = [rec["speb_m2"], ell["mu_inv_m2"], ell["eta_inv_m2"], ell["theta_rad"]]
+        return [_cell(v) for v in values + [d["value_m2"] for d in rec["dpeb"]]]
+
+    return _report(args, records, units, columns, cells)
+
+
+def _cmd_bounds(args) -> int:
+    net = _load_network(args.config)
+    # the loose information J_L bounds the error from above, J_U from below
+    try:
+        uppers, lowers = bound_spebs(net)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    exacts = speb_blocks(net.agent_info)
+    records = []
+    for agent_id, exact, lower, upper in zip(
+        net.agent_ids, exacts.tolist(), lowers.tolist(), uppers.tolist()
+    ):
+        localizable = not math.isinf(upper)
+        records.append(
+            {
+                "id": agent_id,
+                "localizable": localizable,
+                "speb_m2": None if math.isinf(exact) else exact,
+                "speb_lower_m2": None if math.isinf(lower) else lower,
+                "speb_upper_m2": upper if localizable else None,
+                "ratio": lower / upper if localizable and not math.isinf(lower) else None,
+            }
+        )
+    units = {
+        "speb_m2": "m^2",
+        "speb_lower_m2": "m^2",
+        "speb_upper_m2": "m^2",
+        "ratio": "dimensionless",
+    }
+
+    def cells(rec):
+        ratio = rec["ratio"]
+        spebs = [_cell(rec[key]) for key in ("speb_m2", "speb_lower_m2", "speb_upper_m2")]
+        return spebs + [f"{ratio:.6f}" if ratio is not None else "unlocalizable"]
+
+    columns = ["speb_m2", "speb_lower_m2", "speb_upper_m2", "ratio"]
+    return _report(args, records, units, columns, cells)
+
+
+def _report(args, records: list[dict], units: dict, columns: list[str], cells) -> int:
+    """Print a per-agent command's records: as JSON, checked against the
+    command's output schema, or as CSV, one row per agent of its id, its
+    ``localizable`` flag and ``cells(record)`` under ``columns``. Exit 2
+    under ``--strict`` if any agent is unlocalizable."""
     if args.format == "json":
-        payload = {
-            "version": 1,
-            "command": "speb",
-            "units": {
-                "speb_m2": "m^2",
-                "dpeb.value_m2": "m^2",
-                "ellipse.mu_inv_m2": "1/m^2",
-                "ellipse.eta_inv_m2": "1/m^2",
-                "ellipse.theta_rad": "rad",
-            },
-            "agents": records,
-        }
-        validate_output(payload, "speb_output")
+        payload = {"version": 1, "command": args.command, "units": units, "agents": records}
+        validate_output(payload, f"{args.command}_output")
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        header = ["id", "localizable", "speb_m2", "mu_inv_m2", "eta_inv_m2", "theta_rad"]
-        header += [f"dpeb_m2@{ang:.6g}rad" for ang in angles]
-        print(",".join(header))
+        print(",".join(["id", "localizable", *columns]))
         for rec in records:
-            row = [
-                rec["id"],
-                str(rec["localizable"]).lower(),
-                _cell(rec["speb_m2"]),
-                _cell(rec["ellipse"]["mu_inv_m2"]),
-                _cell(rec["ellipse"]["eta_inv_m2"]),
-                _cell(rec["ellipse"]["theta_rad"]),
-            ]
-            row += [_cell(d["value_m2"]) for d in rec["dpeb"]]
-            print(",".join(row))
-
-    if any_unlocalizable and args.strict:
+            print(",".join([rec["id"], str(rec["localizable"]).lower(), *cells(rec)]))
+    if args.strict and not all(rec["localizable"] for rec in records):
         return EXIT_DOMAIN
     return EXIT_OK
 
@@ -228,70 +258,6 @@ def _cell(value) -> str:
     if value is None:
         return "unlocalizable"
     return repr(float(value))
-
-
-def _cmd_bounds(args) -> int:
-    net = _load_network(args.config)
-    records = []
-    any_unlocalizable = False
-    # the loose information J_L bounds the error from above, J_U from below
-    try:
-        uppers, lowers = bound_spebs(net)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    exacts = speb_blocks(net.agent_info)
-    for agent_id, exact, lower, upper in zip(
-        net.agent_ids, exacts.tolist(), lowers.tolist(), uppers.tolist()
-    ):
-        localizable = not math.isinf(upper)
-        any_unlocalizable |= not localizable
-        ratio = None
-        if localizable and not math.isinf(lower):
-            ratio = lower / upper
-        records.append(
-            {
-                "id": agent_id,
-                "localizable": localizable,
-                "speb_m2": None if math.isinf(exact) else exact,
-                "speb_lower_m2": None if math.isinf(lower) else lower,
-                "speb_upper_m2": upper if localizable else None,
-                "ratio": ratio,
-            }
-        )
-
-    if args.format == "json":
-        payload = {
-            "version": 1,
-            "command": "bounds",
-            "units": {
-                "speb_m2": "m^2",
-                "speb_lower_m2": "m^2",
-                "speb_upper_m2": "m^2",
-                "ratio": "dimensionless",
-            },
-            "agents": records,
-        }
-        validate_output(payload, "bounds_output")
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("id,localizable,speb_m2,speb_lower_m2,speb_upper_m2,ratio")
-        for rec in records:
-            ratio = rec["ratio"]
-            print(
-                ",".join(
-                    [
-                        rec["id"],
-                        str(rec["localizable"]).lower(),
-                        _cell(rec["speb_m2"]),
-                        _cell(rec["speb_lower_m2"]),
-                        _cell(rec["speb_upper_m2"]),
-                        f"{ratio:.6f}" if ratio is not None else "unlocalizable",
-                    ]
-                )
-            )
-    if any_unlocalizable and args.strict:
-        return EXIT_DOMAIN
-    return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
@@ -361,10 +327,18 @@ def _cmd_rii(args) -> int:
         z = values[2] if len(values) > 2 else 1.0
         r0 = values[3] if len(values) > 3 else 0.0
         rmax = values[4] if len(values) > 4 else None
+        # the config schema's rules for a path-loss link
+        if r0 < 0.0:
+            raise _InputError(f"--pathloss r0 must be nonnegative, got {r0!r}")
+        if rmax is not None and not rmax > 0.0:
+            raise _InputError(f"--pathloss rmax must be positive, got {rmax!r}")
         try:
             lam = rii_pathloss(d, b, z=z, r0=r0, rmax=rmax)
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
+        if math.isinf(lam):
+            quotient = f"{z!r}/{d!r}^{2.0 * b!r}"
+            raise _InputError(f"path-loss intensity z/d^(2b) = {quotient} is out of float range")
         print(f"model: pathloss z/d^(2b), d = {d:g} m, b = {b:g}, z = {z:g}")
         print(f"lambda = {lam:.6e} 1/m^2")
         return EXIT_OK
@@ -381,11 +355,12 @@ def _cmd_rii(args) -> int:
             raise _InputError(str(exc)) from exc
     try:
         channel_raw = json.loads(channel_text, parse_int=json_int)
-        channel = MultipathChannel(
-            delays=np.array(channel_raw["delays_s"], dtype=float),
-            amplitudes=np.array(channel_raw["amplitudes"], dtype=float),
-            los=channel_raw.get("los", True),
-        )
+        delays = np.array(channel_raw["delays_s"], dtype=float)
+        amplitudes = np.array(channel_raw["amplitudes"], dtype=float)
+        los = channel_raw.get("los", True)
+        if not isinstance(los, bool):  # the config schema's rule
+            raise ValueError(f"los must be true or false, got {json.dumps(los)}")
+        channel = MultipathChannel(delays=delays, amplitudes=amplitudes, los=los)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"bad --channel specification: {exc}") from exc
 

@@ -15,11 +15,11 @@ over random positions is out of scope.
 
 A ``Topology`` holds its nodes and links as arrays, so the config
 loader, the Monte Carlo draws and hand-built networks are one input, and
-``build_efim`` (``assemble_links`` on its arrays, plus the priors) is the
-one assembly. ``agent_info`` holds every agent's equivalent information,
-so the reduction and its singularity verdict are decided here alone, per
-agent. ``join`` appends the newcomer's blocks and links and ``leave``
-masks them, both equal to batch re-assembly bit for bit. ``temporal_efim``
+``build_efim`` is the one assembly and the only maker of a ``NetworkEfim``.
+``agent_info`` holds every agent's equivalent information, so the
+reduction and its singularity verdict are decided here alone, per agent.
+The information is fixed by the topology alone, so ``join`` and ``leave``
+edit the topology and assemble it again. ``temporal_efim``
 reuses the machinery for a single agent ranging against itself over time;
 ``anchor_equivalence_check`` verifies numerically that an agent with a
 huge position prior behaves like an anchor once reduced out.
@@ -627,27 +627,21 @@ def _components(n: int, rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
     return np.unique(root, return_inverse=True)[1]
 
 
-def assemble_links(
-    agent_of: np.ndarray,
-    pos: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    rii: np.ndarray,
-    phi: np.ndarray,
-    reciprocal: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Anchor stack and cooperation links ``(anchor, rx, tx, terms)``, as
-    ``NetworkEfim`` holds them, of links given as arrays.
+def build_efim(topo: Topology) -> NetworkEfim:
+    """Assemble a network's information from its topology: each agent
+    pair's links combine into C_km = (lambda_km + lambda_mk) R(phi_km); with
+    ``reciprocal=True`` a link whose reverse is absent from the topology
+    counts twice (a present reverse link counts as given, even at zero
+    intensity). Independent agent priors fill the prior stack.
 
-    ``agent_of`` holds each node's agent index (-1 for anchors) and ``pos``
-    its evaluation position; link i is received at node ``src[i]`` from
-    node ``dst[i]`` with intensity ``rii[i]``, at the bearing ``phi[i]``
-    where it is not NaN, else at the bearing between the positions.
-    Each link carries rii * R(phi): a link from an anchor adds it to its
-    receiver's anchor block in link order, a link between agents keeps it
-    as its term, doubled under ``reciprocal`` (``Topology``'s rule) where
-    the reverse link is absent. Links with a zero term are left out.
+    Each link carries rii * R(phi), at its ``phi`` override where given,
+    else at the bearing between the evaluation positions: a link from an
+    anchor adds it to its receiver's anchor block in link order, a link
+    between agents keeps it as its term. Links with a zero term are left
+    out. A topology without agents gives the empty network.
     """
+    agent_of, pos = topo._agent_of, topo._eval_positions
+    src, dst, rii, phi = topo._link_arrays[:4]
     k, m = agent_of[src], agent_of[dst]
     d = pos[src] - pos[dst]
     bearing = np.where(np.isnan(phi), np.arctan2(d[:, 1], d[:, 0]), phi)
@@ -663,27 +657,13 @@ def assemble_links(
 
     coop = ~to_anchor
     k, m, terms = k[coop], m[coop], terms[coop]
-    if reciprocal:
+    if topo.reciprocal:
         implied = ~np.isin(m * n + k, k * n + m)
         terms = terms * (1.0 + implied)[:, None, None]
     held = terms.any(axis=(1, 2))
-    return anchor, k[held], m[held], terms[held]
-
-
-def build_efim(topo: Topology) -> NetworkEfim:
-    """Assemble a network's information from its topology: each agent
-    pair's links combine into C_km = (lambda_km + lambda_mk) R(phi_km); with
-    ``reciprocal=True`` a link whose reverse is absent from the topology
-    counts twice (a present reverse link counts as given, even at zero
-    intensity). Independent agent priors fill the prior stack."""
-    if not topo.is_agent.any():
-        raise ValueError("topology has no agents")
     info = topo.prior_info[topo.is_agent]
-    anchor, rx, tx, terms = assemble_links(
-        topo._agent_of, topo._eval_positions, *topo._link_arrays[:4], topo.reciprocal
-    )
     prior = np.where(np.isnan(info), 0.0, info)
-    return NetworkEfim(topo.agent_ids, anchor, prior, rx, tx, terms, topology=topo)
+    return NetworkEfim(topo.agent_ids, anchor, prior, k[held], m[held], terms[held], topology=topo)
 
 
 def agent_efim(net: NetworkEfim, agent_id: str) -> InfoMatrix2:
@@ -698,9 +678,9 @@ def agent_efim(net: NetworkEfim, agent_id: str) -> InfoMatrix2:
 
 
 def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> NetworkEfim:
-    """Extend an assembled network with one more agent: only the newcomer's
-    links are assembled, its blocks and cooperation links appended, so the
-    result equals batch re-assembly of the extended topology bit for bit."""
+    """The network with one more agent: its topology extended by the
+    newcomer, appended as the last node, and its links, then assembled by
+    ``build_efim``."""
     if net.topology is None:
         raise ValueError("join requires a NetworkEfim built from a topology")
     if not new_agent.is_agent:
@@ -714,52 +694,29 @@ def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> Net
 
     added = Topology(topo.nodes + (new_agent,), links)
     links = map(np.concatenate, zip(topo._link_arrays, added._link_arrays))
-    new_topo = Topology.from_arrays(
+    return build_efim(Topology.from_arrays(
         added.is_agent, added.positions, *links, prior_info=added.prior_info,
         prior_mean=added.prior_mean, ids=added.ids, reciprocal=topo.reciprocal,
-    )
-    # every pair in ``links`` holds the newcomer, the last agent, so the
-    # reciprocal rule needs no other link and no other agent's anchor block
-    anchor, rx, tx, terms = assemble_links(
-        new_topo._agent_of, new_topo._eval_positions, *added._link_arrays[:4], topo.reciprocal
-    )
-    prior = np.zeros((1, 2, 2)) if new_agent.prior_info is None else new_agent.prior_info[None]
-    return NetworkEfim(
-        net.agent_ids + (new_agent.node_id,),
-        *map(np.concatenate, zip(
-            (net.anchor, net.prior, net.rx, net.tx, net.terms), (anchor[-1:], prior, rx, tx, terms)
-        )),
-        topology=new_topo,
-    )
+    ))
 
 
 def leave(net: NetworkEfim, agent_id: str) -> NetworkEfim:
-    """Remove an agent: drop its blocks of the stacks and its links, and
-    renumber the rest; equals batch re-assembly of the reduced topology
-    bit for bit."""
-    k = net.index(agent_id)
-    stay = np.arange(net.n_agents) != k
-    held = (net.rx != k) & (net.tx != k)
-    rx, tx = net.rx[held], net.tx[held]
-
-    new_topo = None
-    if net.topology is not None:
-        topo = net.topology
-        gone = topo.index(agent_id)
-        stays = np.arange(len(topo.is_agent)) != gone
-        nodes = (topo.is_agent, topo.positions, topo.prior_info, topo.prior_mean)
-        is_agent, positions, info, mean = (a[stays] for a in nodes)
-        src, dst, *rest = (a[(topo.src != gone) & (topo.dst != gone)] for a in topo._link_arrays)
-        new_topo = Topology.from_arrays(
-            is_agent, positions, src - (src > gone), dst - (dst > gone), *rest,
-            prior_info=info, prior_mean=mean, ids=topo.ids[:gone] + topo.ids[gone + 1 :],
-            reciprocal=topo.reciprocal,
-        )
-
-    return NetworkEfim(
-        tuple(i for i in net.agent_ids if i != agent_id), net.anchor[stay], net.prior[stay],
-        rx - (rx > k), tx - (tx > k), net.terms[held], topology=new_topo,
-    )
+    """The network without one agent: its topology less the agent and its
+    links, the rest renumbered, then assembled by ``build_efim``."""
+    net.index(agent_id)  # an unknown id, or an anchor's, raises KeyError
+    if net.topology is None:
+        raise ValueError("leave requires a NetworkEfim built from a topology")
+    topo = net.topology
+    gone = topo.index(agent_id)
+    stays = np.arange(len(topo.is_agent)) != gone
+    nodes = (topo.is_agent, topo.positions, topo.prior_info, topo.prior_mean)
+    is_agent, positions, info, mean = (a[stays] for a in nodes)
+    src, dst, *rest = (a[(topo.src != gone) & (topo.dst != gone)] for a in topo._link_arrays)
+    return build_efim(Topology.from_arrays(
+        is_agent, positions, src - (src > gone), dst - (dst > gone), *rest,
+        prior_info=info, prior_mean=mean, ids=topo.ids[:gone] + topo.ids[gone + 1 :],
+        reciprocal=topo.reciprocal,
+    ))
 
 
 def temporal_efim(

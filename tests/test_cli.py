@@ -679,6 +679,34 @@ class TestRiiCommand:
         assert captured.out == ""
         assert captured.err == f"error: --pathloss d, b, z and r0 must be finite, got {model!r}\n"
 
+    @pytest.mark.parametrize(
+        "model, error",
+        [
+            ("1e-155,1", "path-loss intensity z/d^(2b) = 1.0/1e-155^2.0 is out of float range"),
+            ("2,1,1,0,-1", "--pathloss rmax must be positive, got -1.0"),
+            ("2,1,1,0,0", "--pathloss rmax must be positive, got 0.0"),
+            ("2,1,1,-1", "--pathloss r0 must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_pathloss_takes_the_config_rules(self, capsys, model, error):
+        """A model the config schema rejects, or an intensity out of float
+        range, is an input error, not a reported lambda."""
+        assert main(["rii", "--pathloss", model]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("los", ['"no"', "null", "0", "1"])
+    def test_channel_los_must_be_a_json_boolean(self, tmp_path, capsys, los):
+        pulse = write_pulse(tmp_path)
+        channel = '{"delays_s": [0.0], "amplitudes": [1.0], "los": %s}' % los
+        assert main(["rii", "--pulse", pulse, "--channel", channel]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad --channel specification: los must be true or false, got {los}\n"
+        )
+
     def test_pathloss_without_outer_cutoff(self, capsys):
         assert main(["rii", "--pathloss", "2,1,1,0,inf"]) == 0
         assert "lambda = 2.500000e-01 1/m^2" in capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from locbounds import network
-from locbounds.bounds import bound_spebs
+from locbounds.bounds import bound_spebs, efim_bounds_all
 from locbounds.experiments import gen_extended
 from locbounds.infogeo import (
     UNLOCALIZABLE,
@@ -527,6 +527,25 @@ class TestJoinLeave:
             assert stack.shape == (0, 2, 2)
         assert empty.total.array.shape == (0, 0)
         assert [s.shape for s in bound_spebs(empty)] == [(0,), (0,)]
+
+    def test_anchors_only_topology_gives_the_empty_network(self):
+        topo = Topology((_anchor("A", 1, 0), _anchor("B", 0, 1)), ())
+        empty = build_efim(topo)
+        assert empty.agent_ids == ()
+        for stack in (empty.agent_info, empty.own_info):
+            assert stack.shape == (0, 2, 2)
+        assert [s.shape for s in bound_spebs(empty)] == [(0,), (0,)]
+        assert efim_bounds_all(empty) == {}
+
+    def test_leave_requires_a_topology(self):
+        built = build_efim(two_agent_topology())
+        net = network.NetworkEfim(
+            built.agent_ids, built.anchor, built.prior, built.rx, built.tx, built.terms
+        )
+        with pytest.raises(ValueError, match="leave requires a NetworkEfim built from a topology"):
+            leave(net, "u1")
+        with pytest.raises(KeyError, match="unknown agent id 'A'"):
+            leave(built, "A")
 
     def test_join_infinite_prior_acts_like_anchor(self):
         """A joining agent with a huge prior contributes like a new anchor."""

@@ -4,8 +4,11 @@ A ``NetworkEfim`` holds per-agent anchor and prior stacks and a list of
 cooperation links; its (2N, 2N) matrices ``j_a``, ``j_c``, ``xi_p`` and
 ``total`` are built on access for checks and demos. No other module of
 the package may read them or call ``network._blocks``, so the choice of
-layout stays in one module. Like ``test_no_dead_definitions.py``, the
-check reads the syntax trees only.
+layout stays in one module. Likewise ``network.build_efim`` is the one
+assembly: no other code of the package constructs a ``NetworkEfim``, so
+an update (``join``, ``leave``) edits the topology and assembles it again.
+Like ``test_no_dead_definitions.py``, the checks read the syntax trees
+only.
 """
 
 import ast
@@ -44,3 +47,39 @@ def test_the_guard_sees_a_dense_read(tmp_path):
         "probe.py:3 .j_c",
         "probe.py:3 .total",
     ]
+
+
+def _efim_constructions(path: Path) -> list[str]:
+    """``NetworkEfim(...)`` calls, each named by its enclosing function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+            if name == "NetworkEfim":
+                found.append(f"{path.stem}.{owner}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_build_efim_constructs_a_network_efim():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _efim_constructions(path)]
+    assert [hit.split(":")[0] for hit in hits] == ["network.build_efim"]
+
+
+def test_the_guard_sees_a_network_efim_construction(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import network\n"
+        "def leave(net, k):\n"
+        "    return network.NetworkEfim(net.agent_ids[1:], *net.stacks)\n"
+        "EMPTY = NetworkEfim((), [], [], [], [], [])\n"
+    )
+    assert _efim_constructions(probe) == ["probe.leave:3", "probe.<module>:4"]
