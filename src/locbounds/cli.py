@@ -355,13 +355,28 @@ def _cmd_rii(args) -> int:
             raise _InputError(str(exc)) from exc
     try:
         channel_raw = json.loads(channel_text, parse_int=json_int)
+        # the config schema's rules for a link's channel
+        if not isinstance(channel_raw, dict):
+            raise ValueError(f"the channel must be a JSON object, got {json.dumps(channel_raw)}")
+        unknown = sorted(channel_raw.keys() - {"delays_s", "amplitudes", "los"})
+        if unknown:
+            raise ValueError(
+                f"unknown key(s) {', '.join(map(json.dumps, unknown))};"
+                " expected delays_s, amplitudes and los"
+            )
+        for key in ("delays_s", "amplitudes"):
+            if key not in channel_raw:
+                raise ValueError(f"missing key {key}")
+            value = channel_raw[key]
+            if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+                raise ValueError(f"{key} must be an array of numbers, got {json.dumps(value)}")
         delays = np.array(channel_raw["delays_s"], dtype=float)
         amplitudes = np.array(channel_raw["amplitudes"], dtype=float)
         los = channel_raw.get("los", True)
-        if not isinstance(los, bool):  # the config schema's rule
+        if not isinstance(los, bool):
             raise ValueError(f"los must be true or false, got {json.dumps(los)}")
         channel = MultipathChannel(delays=delays, amplitudes=amplitudes, los=los)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise _InputError(f"bad --channel specification: {exc}") from exc
 
     beta = effective_bandwidth(waveform)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, pinvh
 
 __all__ = [
     "PSD_TOL",
@@ -377,6 +376,10 @@ def schur_reduce(
     For positive definite ``m`` the result satisfies
     ``[m^-1]_keep == result^-1``.
     """
+    # imported here, not with the module: no command calls this, and
+    # scipy.linalg would be most of the package's import time
+    from scipy.linalg import cho_factor, cho_solve, pinvh
+
     if isinstance(m, BlockMatrix):
         bm = m
     else:

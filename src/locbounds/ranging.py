@@ -49,7 +49,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .infogeo import PSD_TOL
 
@@ -625,6 +624,10 @@ def rii_with_channel_prior(psi: PsiMatrix, prior: ChannelPriorBlocks) -> float:
     infinitely informative prior yields the perfectly-known-channel value
     l^T Psi l / c^2.
     """
+    # imported here, not with the module: no command calls this, and
+    # scipy.linalg would be most of the package's import time
+    from scipy.linalg import cho_factor, cho_solve
+
     if prior.n_paths != psi.n_paths:
         raise ValueError(
             f"prior covers {prior.n_paths} paths but Psi has {psi.n_paths}"

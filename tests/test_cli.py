@@ -20,6 +20,7 @@ from locbounds.config import (
     validate_output,
 )
 from locbounds import ranging
+from locbounds.experiments import EXPERIMENT_KINDS
 from locbounds.ranging import (
     MultipathChannel,
     WaveformModel,
@@ -81,6 +82,64 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=1))
     return str(path)
+
+
+# One call of a function that imports scipy.linalg on first call, by case
+# name (argv[1]), in a fresh interpreter; with argv[2] == "warm" scipy.linalg
+# is imported first. Prints whether it was loaded, then the result with every
+# float in hex, or the type of the exception raised.
+_FIRST_CALL = """
+import sys
+if sys.argv[2] == "warm":
+    import scipy.linalg
+import numpy as np
+from locbounds.infogeo import schur_reduce
+from locbounds.network import Node, Topology, anchor_equivalence_check
+from locbounds.ranging import (
+    ChannelPriorBlocks, MultipathChannel, RangingLink, gaussian_pulse, psi_matrix,
+    rii_with_channel_prior,
+)
+
+def spd(n):
+    a = np.random.default_rng(7).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+def prior_call(amplitudes):
+    w = gaussian_pulse(1e-9, dt=1e-9 / 32, span=8.0)
+    psi = psi_matrix(w, MultipathChannel([0.0, 0.8e-9], amplitudes))
+    prior = ChannelPriorBlocks(xi_dd=0.0, xi_dk=np.zeros(4), xi_kk=np.zeros((4, 4)))
+    return rii_with_channel_prior(psi, prior)
+
+def singular():
+    m = np.zeros((4, 4))
+    m[:2, :2] = np.eye(2)
+    return schur_reduce(m, keep=[0])
+
+def anchor_equivalence():
+    nodes = [Node("u1", "agent", [0.0, 0.0]), Node("u2", "agent", [1.0, 0.0]),
+             Node("A", "anchor", [-3.0, 0.0]), Node("B", "anchor", [0.0, 3.0])]
+    links = [RangingLink("u1", "A", 1.0), RangingLink("u1", "B", 1.0),
+             RangingLink("u1", "u2", 1.0), RangingLink("u2", "u1", 1.0)]
+    topo = Topology(nodes, links)
+    # t2 = 0 fails the Cholesky path and falls back to the pseudo-inverse
+    return [anchor_equivalence_check(topo, "u2", t2) for t2 in (0.0, 1e6)]
+
+CASES = {
+    "schur_cholesky": lambda: schur_reduce(spd(8), keep=[0, 2]).array,
+    "schur_pinv": lambda: schur_reduce(spd(8), keep=[1], use_pinv=True).array,
+    "schur_singular": singular,
+    "anchor_equivalence": anchor_equivalence,
+    "rii_prior": lambda: prior_call([1.0, 0.6]),
+    "rii_degenerate": lambda: prior_call([0.0, 0.6]),
+}
+print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
+try:
+    result = CASES[sys.argv[1]]()
+except ValueError as exc:
+    print(type(exc).__name__)
+else:
+    print([float(x).hex() for x in np.ravel(result)])
+"""
 
 
 def run_python(*args):
@@ -707,6 +766,37 @@ class TestRiiCommand:
             f"error: bad --channel specification: los must be true or false, got {los}\n"
         )
 
+    @pytest.mark.parametrize(
+        "channel, error",
+        [
+            (
+                '{"delays_s": [0.0], "amplitudes": [1.0], "LOS": false}',
+                'unknown key(s) "LOS"; expected delays_s, amplitudes and los',
+            ),
+            ('{"delays_s": 0.0, "amplitudes": [1.0]}', "delays_s must be an array of numbers, got 0.0"),
+            ('{"delays_s": [0.0], "amplitudes": 1}', "amplitudes must be an array of numbers, got 1"),
+            (
+                '{"delays_s": [0.0, true], "amplitudes": [1.0, 1.0]}',
+                "delays_s must be an array of numbers, got [0.0, true]",
+            ),
+            (
+                '{"delays_s": ["0"], "amplitudes": [1.0]}',
+                'delays_s must be an array of numbers, got ["0"]',
+            ),
+            ('{"delays_s": [0.0]}', "missing key amplitudes"),
+            ("[1,2]", "the channel must be a JSON object, got [1, 2]"),
+            ("3", "the channel must be a JSON object, got 3"),
+        ],
+    )
+    def test_channel_takes_the_config_rules(self, tmp_path, capsys, channel, error):
+        """A channel the config schema rejects is an input error: no key is
+        ignored and no scalar or string stands in for an array of numbers."""
+        pulse = write_pulse(tmp_path)
+        assert main(["rii", "--pulse", pulse, "--channel", channel]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad --channel specification: {error}\n"
+
     def test_pathloss_without_outer_cutoff(self, capsys):
         assert main(["rii", "--pathloss", "2,1,1,0,inf"]) == 0
         assert "lambda = 2.500000e-01 1/m^2" in capsys.readouterr().out
@@ -1051,6 +1141,61 @@ class TestConfigLoading:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_startup_leaves_scipy_unloaded(self):
+        """Start-up -- the CLI import and the four published schemas -- loads
+        no scipy module: only library functions no command calls need
+        ``scipy.linalg``, and they import it on first call."""
+        code = (
+            "import sys, locbounds.cli; from locbounds.config import load_schema; "
+            "[load_schema(n) for n in ('config', 'speb_output', 'bounds_output', 'experiment_summary')]; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_leave_scipy_unloaded(self, tmp_path):
+        """Every command path, each experiment kind included, runs without
+        importing scipy."""
+        config = write_config(tmp_path, TOY_CONFIG)
+        pulse = write_pulse(tmp_path)
+        channel = '{"delays_s": [0.0, 5e-10], "amplitudes": [1.0, 0.5]}'
+        runs = [["speb", config], ["bounds", config], ["rii", "--pathloss", "2,1"],
+                ["rii", "--pulse", pulse, "--channel", channel]]
+        runs += [["experiment", kind, "--trials", "1", "--out", str(tmp_path)]
+                 for kind in EXPERIMENT_KINDS]
+        code = (
+            "import sys; from locbounds.cli import main; "
+            f"codes = [main(argv) for argv in {runs!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} []"
+
+    @pytest.mark.parametrize(
+        "case, raised",
+        [
+            ("schur_cholesky", None),
+            ("schur_pinv", None),
+            ("schur_singular", "SingularComplementError"),
+            ("anchor_equivalence", None),
+            ("rii_prior", None),
+            ("rii_degenerate", "DegenerateChannelError"),
+        ],
+    )
+    def test_scipy_linalg_users_work_on_first_call(self, case, raised):
+        """The functions that import ``scipy.linalg`` on first call give, in a
+        fresh interpreter, what they give once it is loaded, errors
+        included."""
+        cold, warm = (run_python("-c", _FIRST_CALL, case, state) for state in ("cold", "warm"))
+        assert cold.returncode == 0, cold.stderr
+        assert warm.returncode == 0, warm.stderr
+        first, result = warm.stdout.splitlines()
+        assert first == "scipy.linalg loaded: True"
+        assert cold.stdout.splitlines() == ["scipy.linalg loaded: False", result]
+        assert result == raised if raised else result.startswith("['0x")
 
     @pytest.mark.parametrize("command", ["speb", "bounds"])
     def test_subnormal_pathloss_power_reports_only_the_error(self, tmp_path, command):
