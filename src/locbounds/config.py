@@ -6,12 +6,15 @@ variables). Unknown keys are rejected with their JSON path; syntax errors
 surface with line and column. Links may carry an explicit intensity, a
 (waveform, channel) pair resolved through the ranging module, or a
 path-loss model evaluated at the link distance, read by the schema branch
-they match. Intensities are resolved as arrays, with no per-link object:
-a waveform link's channel stays raw JSON until each pulse's channels are
-flattened into arrays, checked and resolved in one batched pass, and the
-path-loss links take one more; the links go to ``Topology.from_arrays``
-as arrays. ``json_int`` reads an integer beyond float range as the
-infinity its float twin (``1e400``) parses to: the same checks reject it.
+they match. As with the schema, batches decide and a walk explains: a
+valid document's intensities are resolved in batches, with no per-link
+object (each pulse's channels flattened into arrays and resolved in one
+pass, the path-loss links in one more), and its links go to
+``Topology.from_arrays``, which checks them. A document the batches do
+not settle, or the topology rejects, is walked one link at a time through
+the scalar references, which report its first faulty link's path and
+message. ``json_int`` reads an integer beyond float range as the infinity
+its float twin (``1e400``) parses to: the same checks reject it.
 
 Config documents and produced outputs are checked against the published
 schemas by a checker compiled once per schema (``_compile``), which
@@ -31,9 +34,8 @@ import json
 import math
 import numbers
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 from importlib import resources
 from typing import Callable, Optional
@@ -358,130 +360,107 @@ def _resolve_network(raw: dict, base_dir: str) -> Topology:
             c=wf.get("c", SPEED_OF_LIGHT),
         )
 
-    links = _resolve_links(network.get("links", []), index, evaluated, waveforms)
+    entries = network.get("links", [])
+    links = _resolve_links(entries, index, evaluated, waveforms)
     try:
         return Topology.from_arrays(
             is_agent, positions, *links, prior_info=info, prior_mean=mean, ids=ids,
             reciprocal=network.get("reciprocal", False),
         )
     except ValueError as exc:
+        # a faulty link is reported at its own path, before the topology's error
+        _walk_links(entries, index, evaluated, waveforms)
         raise ConfigError(str(exc), location="network") from exc
 
 
 def _resolve_links(
-    entries: list,
-    index: dict[str, int],
-    positions: np.ndarray,
-    waveforms: dict[str, WaveformModel],
+    entries: list, index: dict[str, int], positions: np.ndarray, waveforms: dict[str, WaveformModel]
 ) -> tuple[np.ndarray, ...]:
-    """Link entries as the arrays ``Topology.from_arrays`` takes, with
-    their intensities resolved as arrays. A waveform link's channel stays a
-    raw dict until each pulse's channels are flattened into arrays
-    (``_channel_arrays``), checked with ``MultipathChannel``'s messages
-    (``first_channel_fault``) and resolved by one ``rii_no_prior_flat``;
-    the path-loss links go through one ``rii_pathloss_batch``. A link the
-    batches leave unresolved (all path-loss links when that batch raises)
-    goes through its scalar reference, in link order, so a rejected document
-    reports the first faulty link's ``network/links/<i>`` with its own
-    message; a link's entry (node ids, waveform name, channel) is checked
-    first, then its intensity, then ``RangingLink``'s checks
-    (``first_link_fault``).
+    """Link entries as the arrays ``Topology.from_arrays`` takes, their
+    intensities resolved in batches: one ``rii_no_prior_flat`` per pulse,
+    on its channels as flat arrays (``_channel_arrays``), and one
+    ``rii_pathloss_batch``. A document the batches do not settle (an
+    unknown node id or waveform, a channel ``first_channel_fault`` rejects,
+    a path-loss batch that raises, an intensity left NaN) goes to
+    ``_walk_links``."""
+    try:
+        ends = [(index[entry["from"]], index[entry["to"]]) for entry in entries]
+        src, dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+        # the schema's branches: rii, else waveform with channel, else path loss
+        given, pulses, pathloss = [], {}, []
+        for i, entry in enumerate(entries):
+            if "rii" in entry:
+                given.append(i)
+            elif "waveform" in entry and "channel" in entry:
+                pulses.setdefault(entry["waveform"], []).append(i)
+            else:
+                pathloss.append(i)
+        rii = np.zeros(len(entries))
+        rii[given] = np.array([entries[i]["rii"] for i in given], dtype=float)
+        for name, at in pulses.items():
+            delays, amps, sizes, n_amps, los = _channel_arrays([entries[i]["channel"] for i in at])
+            if first_channel_fault(delays, amps, sizes, n_amps) is not None:
+                raise ValueError("a channel is rejected")
+            rii[at] = rii_no_prior_flat(waveforms[name], delays, amps, sizes, los)
+        if pathloss:
+            d = positions[src[pathloss]] - positions[dst[pathloss]]
+            spans = zip(pathloss, np.hypot(d[:, 0], d[:, 1]).tolist())
+            args = [_pathloss_args(entries[i], span) for i, span in spans]
+            rii[pathloss] = rii_pathloss_batch(*np.array(args, dtype=float).T)
+        if np.isnan(rii).any():
+            raise ValueError("an intensity is unresolved")
+    except (KeyError, ValueError):
+        return _walk_links(entries, index, positions, waveforms)
+    return (src, dst, rii, *_overrides(entries))
+
+
+def _walk_links(
+    entries: list, index: dict[str, int], positions: np.ndarray, waveforms: dict[str, WaveformModel]
+) -> tuple[np.ndarray, ...]:
+    """``_resolve_links`` one link at a time, through the scalar references
+    (``MultipathChannel``, ``rii_no_prior``, ``_pathloss_rii``,
+    ``first_link_fault``), which give the batches' values bit for bit.
+    Raises the first faulty link's own error at ``network/links/<i>``,
+    checking a link's entry (node ids, waveform name, channel), then its
+    intensity, then ``RangingLink``'s checks; returns the link arrays if
+    no link is faulty.
     """
-    ends: list[tuple[int, int]] = []
-    given: list[int] = []
-    pulses: dict[str, tuple[list[int], list[dict]]] = {}
-    pathloss: list[int] = []
-    fault = None
+    src, dst = np.zeros((2, len(entries)), dtype=np.intp)
+    rii = np.zeros(len(entries))
+    links = (src, dst, rii, *_overrides(entries))
     for i, entry in enumerate(entries):
         try:
             for node_id in (entry["from"], entry["to"]):
                 if node_id not in index:
                     raise ValueError(f"unknown node id {node_id!r}")
-            # the schema's branches: rii, else waveform with channel, else path loss
+            src[i], dst[i] = index[entry["from"]], index[entry["to"]]
             if "rii" in entry:
-                given.append(i)
+                rii[i] = float(entry["rii"])
             elif "waveform" in entry and "channel" in entry:
-                name = entry["waveform"]
+                name, channel = entry["waveform"], entry["channel"]
                 if name not in waveforms:
                     raise ValueError(f"unknown waveform {name!r}")
-                at, channels = pulses.setdefault(name, ([], []))
-                at.append(i)
-                channels.append(entry["channel"])
+                rii[i] = rii_no_prior(waveforms[name], MultipathChannel(
+                    channel["delays_s"], channel["amplitudes"], channel.get("los", True)
+                ))
             else:
-                pathloss.append(i)
+                span = np.hypot(*(positions[src[i]] - positions[dst[i]]))
+                rii[i] = _pathloss_rii(*map(float, _pathloss_args(entry, span)))
+            fault = first_link_fault(*(a[i : i + 1] for a in links))
+            if fault is not None:
+                raise ValueError(fault[1])
         except ValueError as exc:
-            fault = ConfigError(str(exc), location=f"network/links/{i}")
-            break
-        ends.append((index[entry["from"]], index[entry["to"]]))
-    n = len(ends)  # the links before the first entry fault
-    flat = {}
-    for name, (at, channels) in pulses.items():
-        flat[name] = arrays = _channel_arrays(channels)
-        bad = first_channel_fault(*arrays[:4])
-        if bad is not None and at[bad[0]] < n:
-            n = at[bad[0]]
-            fault = ConfigError(bad[1], location=f"network/links/{n}")
-    src, dst = np.array(ends[:n], dtype=np.intp).reshape(-1, 2).T
-    rii = np.zeros(n)
-    given = given[: bisect_left(given, n)]
-    rii[given] = np.array([entries[i]["rii"] for i in given], dtype=float)
+            raise ConfigError(str(exc), location=f"network/links/{i}") from exc
+    return links
 
-    scalar: dict[int, Callable[[], float]] = {}  # links left to the scalar references
-    for name, (at, _) in pulses.items():
-        delays, amps, sizes, _, los = flat[name]
-        m = bisect_left(at, n)
-        stops = np.cumsum(sizes[:m])
-        paths = int(sizes[:m].sum())
-        w = waveforms[name]
-        values = rii_no_prior_flat(w, delays[:paths], amps[:paths], sizes[:m], los[:m])
-        rii[at[:m]] = values
-        for j in np.flatnonzero(np.isnan(values)).tolist():
-            own = slice(stops[j] - sizes[j], stops[j])
-            scalar[at[j]] = partial(rii_no_prior, w, MultipathChannel(delays[own], amps[own]))
-    pathloss = pathloss[: bisect_left(pathloss, n)]
-    if pathloss:
-        distance = np.full(n, np.nan)  # of the path-loss links, as given or from positions
-        d = positions[src[pathloss]] - positions[dst[pathloss]]
-        distance[pathloss] = np.hypot(d[:, 0], d[:, 1])
-        measured = [i for i in pathloss if "distance_m" in entries[i]]
-        distance[measured] = np.array([entries[i]["distance_m"] for i in measured], dtype=float)
-        distance = distance[pathloss]
-        models = [entries[i]["pathloss"] for i in pathloss]
-        params = [
-            np.array(v, dtype=float)
-            for v in (
-                [m["b"] for m in models],
-                [m.get("z", 1.0) for m in models],
-                [m.get("r0", 0.0) for m in models],
-                [math.inf if m.get("rmax") is None else m["rmax"] for m in models],
-            )
-        ]
-        try:
-            rii[pathloss] = rii_pathloss_batch(distance, *params)
-        except ValueError:
-            args = zip(distance.tolist(), *(p.tolist() for p in params))
-            scalar.update((i, partial(_pathloss_rii, *a)) for i, a in zip(pathloss, args))
-    checked = n  # the links before the first intensity fault too
-    for i in sorted(scalar):
-        try:
-            rii[i] = scalar[i]()
-        except ValueError as exc:
-            fault = ConfigError(str(exc), location=f"network/links/{i}")
-            checked = i
-            break
 
+def _overrides(entries: list) -> tuple[np.ndarray, np.ndarray]:
+    """The links' ``phi`` and ``distance`` override arrays."""
     # an override is NaN where none is given, so a given NaN, not finite either, is held as inf
-    overrides = (
-        [math.inf if v != v else v for v in (entry.get(key) for entry in entries[:n])]
+    return tuple(
+        np.array([math.inf if v != v else v for v in (e.get(key) for e in entries)], dtype=float)
         for key in ("phi_rad", "distance_m")
     )
-    links = (src, dst, rii, *(np.array(v, dtype=float) for v in overrides))
-    first = first_link_fault(*(a[:checked] for a in links))
-    if first is not None:
-        raise ConfigError(first[1], location=f"network/links/{first[0]}")
-    if fault is not None:
-        raise fault
-    return links
 
 
 def _channel_arrays(channels: list[dict]) -> tuple[np.ndarray, ...]:
@@ -496,6 +475,15 @@ def _channel_arrays(channels: list[dict]) -> tuple[np.ndarray, ...]:
         np.fromiter(map(len, amps), dtype=np.intp, count=len(amps)),
         np.array([ch.get("los", True) for ch in channels], dtype=bool),
     )
+
+
+def _pathloss_args(entry: dict, span: float) -> tuple:
+    """A path-loss link's (d, b, z, r0, rmax): its measured distance, else
+    ``span``, and its model, with the defaults."""
+    model = entry["pathloss"]
+    z, r0 = model.get("z", 1.0), model.get("r0", 0.0)
+    rmax = math.inf if model.get("rmax") is None else model["rmax"]
+    return entry.get("distance_m", span), model["b"], z, r0, rmax
 
 
 def _pathloss_rii(d: float, b: float, z: float, r0: float, rmax: float) -> float:

@@ -743,8 +743,8 @@ def temporal_efim(
         raise ValueError("anchor_links must have one entry per position")
     if len(step_info) != n_steps - 1:
         raise ValueError("step_info must have N-1 entries")
-    if any(nu < 0.0 for nu in step_info):
-        raise ValueError("step information must be nonnegative")
+    if not all(math.isfinite(nu) and nu >= 0.0 for nu in step_info):
+        raise ValueError("step information must be finite and nonnegative")
 
     step_ids = [f"t{i}" for i in range(n_steps)]
     nodes = [Node(step_ids[i], "agent", positions[i]) for i in range(n_steps)]
@@ -764,8 +764,10 @@ def relabel_as_anchor(topo: Topology, agent_id: str) -> Topology:
 
     Both directions of each cooperation pair feed the surviving agent: the
     former links (m <- k) and (k <- m) merge into a single anchor link
-    (m <- k) carrying the summed intensity. The relabeled node's own anchor
-    links and any prior disappear with its unknowns.
+    (m <- k) carrying the summed intensity, where a reciprocal topology's
+    pair given in one direction counts twice, as ``build_efim`` counts it.
+    The relabeled node's own anchor links and any prior disappear with its
+    unknowns; the other agents keep the topology's reciprocal rule.
     """
     node = topo.node(agent_id)
     if not node.is_agent:
@@ -777,14 +779,17 @@ def relabel_as_anchor(topo: Topology, agent_id: str) -> Topology:
     combined: dict[str, float] = {}
     geometry: dict[str, RangingLink] = {}
     new_links: list[RangingLink] = []
+    given = {(link.from_id, link.to_id) for link in topo.links}
     for link in topo.links:
+        implied = topo.reciprocal and (link.to_id, link.from_id) not in given
+        rii = 2.0 * link.rii if implied else link.rii
         if link.from_id == agent_id:
             peer = topo.node(link.to_id)
             if peer.is_agent:
-                combined[peer.node_id] = combined.get(peer.node_id, 0.0) + link.rii
+                combined[peer.node_id] = combined.get(peer.node_id, 0.0) + rii
             continue  # drop the relabeled node's anchor observations
         if link.to_id == agent_id:
-            combined[link.from_id] = combined.get(link.from_id, 0.0) + link.rii
+            combined[link.from_id] = combined.get(link.from_id, 0.0) + rii
             geometry[link.from_id] = link
             continue
         new_links.append(link)
@@ -795,7 +800,7 @@ def relabel_as_anchor(topo: Topology, agent_id: str) -> Topology:
         new_links.append(
             RangingLink(from_id=peer_id, to_id=agent_id, rii=total, phi=phi, distance=distance)
         )
-    return Topology(nodes=new_nodes, links=tuple(new_links), reciprocal=False)
+    return Topology(nodes=new_nodes, links=tuple(new_links), reciprocal=topo.reciprocal)
 
 
 def anchor_equivalence_check(topo: Topology, agent_id: str, t2: float) -> float:

@@ -117,6 +117,22 @@ class TestBuildEfim:
         np.testing.assert_allclose(total, total.T)
         assert np.linalg.eigvalsh(total)[0] > 0
 
+    def test_pair_info_reads_j_c(self, rng):
+        """``pair_info`` lists the linked pairs k < m in ``np.triu_indices``
+        order, each C_km the negated (k, m) block of ``j_c``, bit for bit."""
+        for _ in range(10):
+            topo = random_topology(rng, n_agents=int(rng.integers(1, 7)))
+            keep = rng.random(len(topo.src)) < 0.5
+            topo = Topology.from_arrays(
+                topo.is_agent, topo.positions, *(a[keep] for a in topo._link_arrays)
+            )
+            net = build_efim(topo)
+            k, m, c = net.pair_info()
+            blocks = -net.j_c.reshape(net.n_agents, 2, net.n_agents, 2).swapaxes(1, 2)
+            pairs = sorted({(min(a, b), max(a, b)) for a, b in zip(net.rx, net.tx)})
+            assert list(zip(k.tolist(), m.tolist())) == pairs
+            np.testing.assert_array_equal(c, blocks[k, m].reshape(-1, 2, 2))
+
     def test_anchor_blocks(self):
         net = build_efim(two_agent_topology())
         j1 = net.anchor_block("u1").as_array()
@@ -618,6 +634,15 @@ class TestTemporal:
                 [[0, 0], [1, 0]], self._anchors(), self._anchor_links(2), [0.1, 0.2]
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_step_info_rejected(self, bad):
+        """A NaN step is not skipped as no information, nor an infinite one
+        left to ``RangingLink``: each is rejected with one message."""
+        with pytest.raises(ValueError, match="^step information must be finite and nonnegative$"):
+            temporal_efim(
+                [[0, 0], [1, 0], [2, 0]], self._anchors(), self._anchor_links(3), [bad, 1.0]
+            )
+
 
 class TestAnchorEquivalence:
     def test_relabel_folds_both_directions(self):
@@ -632,6 +657,43 @@ class TestAnchorEquivalence:
         for _ in range(10):
             topo = random_topology(rng, n_agents=int(rng.integers(2, 5)))
             agent_id = rng.choice([n.node_id for n in topo.agents])
+            devs = [
+                anchor_equivalence_check(topo, agent_id, t2)
+                for t2 in (1e3, 1e6, 1e9, 1e12)
+            ]
+            assert all(b < a for a, b in zip(devs, devs[1:]))
+            assert devs[-1] < 1e-6
+
+    def test_reciprocal_pair_given_once(self):
+        """A reciprocal pair given in one direction folds into an anchor link
+        of twice its intensity, as ``build_efim`` counts it."""
+        nodes = (
+            _agent("a0", 0.0, 0.0),
+            _agent("u", 3.0, 1.0),
+            _anchor("b0", 5.0, 0.0),
+            _anchor("b1", 0.0, 5.0),
+        )
+        links = [RangingLink(a, b, 1.0) for a in ("a0", "u") for b in ("b0", "b1")]
+        topo = Topology(nodes, links + [RangingLink("a0", "u", 2.0)], reciprocal=True)
+        for agent_id in ("a0", "u"):
+            devs = [anchor_equivalence_check(topo, agent_id, t2) for t2 in (1e3, 1e6, 1e9, 1e12)]
+            assert all(b < a for a, b in zip(devs, devs[1:]))
+            assert devs[-1] < 1e-6
+        folded = [l for l in relabel_as_anchor(topo, "u").links if l.to_id == "u"]
+        assert [(l.from_id, l.rii) for l in folded] == [("a0", 4.0)]
+
+    def test_limit_decreases_in_t2_reciprocal(self):
+        """As ``test_limit_decreases_in_t2``, with one direction per agent
+        pair and the reciprocal rule implying the other."""
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            full = random_topology(rng, n_agents=int(rng.integers(2, 5)))
+            once = ~full.is_agent[full.dst] | (full.src < full.dst)
+            topo = Topology.from_arrays(
+                full.is_agent, full.positions, *(a[once] for a in full._link_arrays),
+                ids=full.ids, reciprocal=True,
+            )
+            agent_id = rng.choice(topo.agent_ids)
             devs = [
                 anchor_equivalence_check(topo, agent_id, t2)
                 for t2 in (1e3, 1e6, 1e9, 1e12)
