@@ -597,6 +597,8 @@ def _run_study(spec: ExperimentSpec, kind: str) -> ExperimentResult:
         raise ValueError(f"scaling sweep needs at least {_MIN_POINTS[kind]} points")
     if kind != "extended_scaling" and not spec.layouts:
         raise ValueError(f"{kind} needs at least one anchor layout")
+    if kind == "dense_scaling" and len(spec.layouts) > 1:
+        raise ValueError(f"dense_scaling takes one anchor layout, got {list(spec.layouts)}")
     if kind == "extended_scaling":
         points = [dict(n_anchors=n, radius_m=math.sqrt(n / (math.pi * spec.rho_b))) for n in sweep]
     elif kind == "dense_scaling":

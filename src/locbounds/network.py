@@ -19,10 +19,10 @@ loader, the Monte Carlo draws and hand-built networks are one input, and
 ``agent_info`` holds every agent's equivalent information, so the
 reduction and its singularity verdict are decided here alone, per agent.
 The information is fixed by the topology alone, so ``join`` and ``leave``
-edit the topology and assemble it again. ``temporal_efim``
-reuses the machinery for a single agent ranging against itself over time;
-``anchor_equivalence_check`` verifies numerically that an agent with a
-huge position prior behaves like an anchor once reduced out.
+edit its arrays and assemble it again, as ``relabel_as_anchor`` edits them
+for ``anchor_equivalence_check``, which verifies that an agent with a huge
+position prior behaves like an anchor once reduced out; ``temporal_efim``
+reuses the machinery for one agent ranging against itself over time.
 
 ``Topology`` and ``NetworkEfim`` are immutable snapshots; updates return new
 values, so concurrent readers are safe.
@@ -167,6 +167,19 @@ def first_link_fault(src, dst, rii, phi, distance) -> Optional[tuple[int, str]]:
     return first_fault(checks)
 
 
+def _link_arrays_of(links: Iterable[RangingLink], ids: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """The link arrays, in ``from_arrays``'s order, of ``RangingLink``s between ``ids``."""
+    links = tuple(links)
+    slot = {node_id: i for i, node_id in enumerate(ids)}
+    try:
+        ends = [(slot[link.from_id], slot[link.to_id]) for link in links]
+    except KeyError as exc:
+        raise ValueError(f"unknown node id {exc.args[0]!r} in link") from None
+    values = [(link.rii, link.phi, link.distance) for link in links]  # None is NaN
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    return (*ends, *np.array(values, dtype=float).reshape(-1, 3).T)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Topology:
     """Immutable network snapshot: nodes plus directed ranging links.
@@ -205,15 +218,8 @@ class Topology:
     def __init__(
         self, nodes: Sequence[Node], links: Iterable[RangingLink], reciprocal: bool = False
     ) -> None:
-        nodes, links = tuple(nodes), tuple(links)
+        nodes = tuple(nodes)
         ids = tuple(n.node_id for n in nodes)
-        slot = {node_id: i for i, node_id in enumerate(ids)}
-        try:
-            ends = [(slot[link.from_id], slot[link.to_id]) for link in links]
-        except KeyError as exc:
-            raise ValueError(f"unknown node id {exc.args[0]!r} in link") from None
-        values = [(link.rii, link.phi, link.distance) for link in links]  # None is NaN
-        ends = np.array(ends, dtype=np.intp).reshape(-1, 2).T
         none = np.full((2, 2), np.nan)  # no prior
         infos = [none if n.prior_info is None else n.prior_info for n in nodes]
         means = [none[0] if n.prior_mean is None else n.prior_mean for n in nodes]
@@ -223,8 +229,7 @@ class Topology:
             np.reshape(infos, (-1, 2, 2)),
             np.reshape(means, (-1, 2)),
         )
-        links = (*ends, *np.array(values, dtype=float).reshape(-1, 3).T)
-        self._setup(node_arrays, links, ids, reciprocal)
+        self._setup(node_arrays, _link_arrays_of(links, ids), ids, reciprocal)
 
     @classmethod
     def from_arrays(
@@ -265,6 +270,9 @@ class Topology:
             raise ValueError(f"ids must have shape {(n,)}")
         if self._ids is not None and len(set(self._ids)) != n:
             raise ValueError("node ids must be unique")
+        ends = (self.src, self.dst)
+        if m and (min(e.min() for e in ends) < 0 or max(e.max() for e in ends) >= n):
+            raise ValueError(f"link node indices must be in [0, {n})")
         fault = first_link_fault(*self._link_arrays)
         if fault is not None:
             raise ValueError(fault[1])
@@ -297,6 +305,24 @@ class Topology:
     def _link_arrays(self) -> tuple[np.ndarray, ...]:
         """The link arrays in ``from_arrays``'s order."""
         return tuple(getattr(self, name) for name in _LINK_FIELDS)
+
+    @property
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """The node and link arrays, by ``from_arrays``'s keywords."""
+        return {name: getattr(self, name) for name in _NODE_FIELDS | _LINK_FIELDS}
+
+    def _replace(self, **arrays) -> Topology:
+        """This topology with the given node or link arrays, or ``ids``, swapped
+        in and validated by ``from_arrays``; ``reciprocal`` is kept."""
+        fields = self._arrays | {"ids": self.ids} | arrays
+        return Topology.from_arrays(**fields, reciprocal=self.reciprocal)
+
+    @cached_property
+    def _doubled(self) -> np.ndarray:
+        """Per link, whether the reciprocal rule counts it twice: agent-agent, reverse absent."""
+        n = len(self.is_agent)
+        implied = ~np.isin(self.dst * n + self.src, self.src * n + self.dst)
+        return self.reciprocal & self.is_agent[self.dst] & implied
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -658,8 +684,7 @@ def build_efim(topo: Topology) -> NetworkEfim:
     coop = ~to_anchor
     k, m, terms = k[coop], m[coop], terms[coop]
     if topo.reciprocal:
-        implied = ~np.isin(m * n + k, k * n + m)
-        terms = terms * (1.0 + implied)[:, None, None]
+        terms = terms * (1.0 + topo._doubled[coop])[:, None, None]
     held = terms.any(axis=(1, 2))
     info = topo.prior_info[topo.is_agent]
     prior = np.where(np.isnan(info), 0.0, info)
@@ -692,12 +717,11 @@ def join(net: NetworkEfim, new_agent: Node, links: Iterable[RangingLink]) -> Net
     if any(new_agent.node_id not in (link.from_id, link.to_id) for link in links):
         raise ValueError("join links must involve the joining agent")
 
-    added = Topology(topo.nodes + (new_agent,), links)
-    links = map(np.concatenate, zip(topo._link_arrays, added._link_arrays))
-    return build_efim(Topology.from_arrays(
-        added.is_agent, added.positions, *links, prior_info=added.prior_info,
-        prior_mean=added.prior_mean, ids=added.ids, reciprocal=topo.reciprocal,
-    ))
+    ids = topo.ids + (new_agent.node_id,)
+    added = Topology((new_agent,), ())._arrays
+    added |= dict(zip(_LINK_FIELDS, _link_arrays_of(links, ids)))
+    arrays = {name: np.concatenate([old, added[name]]) for name, old in topo._arrays.items()}
+    return build_efim(topo._replace(**arrays, ids=ids))
 
 
 def leave(net: NetworkEfim, agent_id: str) -> NetworkEfim:
@@ -709,14 +733,11 @@ def leave(net: NetworkEfim, agent_id: str) -> NetworkEfim:
     topo = net.topology
     gone = topo.index(agent_id)
     stays = np.arange(len(topo.is_agent)) != gone
-    nodes = (topo.is_agent, topo.positions, topo.prior_info, topo.prior_mean)
-    is_agent, positions, info, mean = (a[stays] for a in nodes)
-    src, dst, *rest = (a[(topo.src != gone) & (topo.dst != gone)] for a in topo._link_arrays)
-    return build_efim(Topology.from_arrays(
-        is_agent, positions, src - (src > gone), dst - (dst > gone), *rest,
-        prior_info=info, prior_mean=mean, ids=topo.ids[:gone] + topo.ids[gone + 1 :],
-        reciprocal=topo.reciprocal,
-    ))
+    kept = (topo.src != gone) & (topo.dst != gone)
+    arrays = {name: a[kept if name in _LINK_FIELDS else stays] for name, a in topo._arrays.items()}
+    for end in ("src", "dst"):
+        arrays[end] -= arrays[end] > gone
+    return build_efim(topo._replace(**arrays, ids=topo.ids[:gone] + topo.ids[gone + 1 :]))
 
 
 def temporal_efim(
@@ -762,45 +783,26 @@ def temporal_efim(
 def relabel_as_anchor(topo: Topology, agent_id: str) -> Topology:
     """Re-label an agent as an anchor, folding cooperation into anchor links.
 
-    Both directions of each cooperation pair feed the surviving agent: the
-    former links (m <- k) and (k <- m) merge into a single anchor link
-    (m <- k) carrying the summed intensity, where a reciprocal topology's
-    pair given in one direction counts twice, as ``build_efim`` counts it.
-    The relabeled node's own anchor links and any prior disappear with its
-    unknowns; the other agents keep the topology's reciprocal rule.
+    Each cooperation link (m <- k) or (k <- m) of the agent k becomes one
+    anchor link (m <- k) with its own intensity and overrides (R(phi) is
+    pi-periodic), counted twice where the reciprocal rule implies its
+    reverse, as ``build_efim`` counts it. k's own anchor links and prior
+    disappear with its unknowns; the other agents keep the reciprocal rule.
     """
-    node = topo.node(agent_id)
-    if not node.is_agent:
+    k = topo.index(agent_id)
+    if not topo.is_agent[k]:
         raise ValueError(f"{agent_id!r} is already an anchor")
-    new_nodes = tuple(
-        Node(n.node_id, "anchor", n.position) if n.node_id == agent_id else n
-        for n in topo.nodes
+    is_agent, info, mean = topo.is_agent.copy(), topo.prior_info.copy(), topo.prior_mean.copy()
+    is_agent[k], info[k], mean[k] = False, np.nan, np.nan
+    src, dst = topo.src, topo.dst
+    flip = src == k
+    kept = ~flip | is_agent[dst]  # drop the relabeled node's anchor observations
+    rii = topo.rii * (1.0 + (topo._doubled & (flip | (dst == k))))
+    return topo._replace(
+        is_agent=is_agent, prior_info=info, prior_mean=mean,
+        src=np.where(flip, dst, src)[kept], dst=np.where(flip, src, dst)[kept],
+        rii=rii[kept], phi=topo.phi[kept], distance=topo.distance[kept],
     )
-    combined: dict[str, float] = {}
-    geometry: dict[str, RangingLink] = {}
-    new_links: list[RangingLink] = []
-    given = {(link.from_id, link.to_id) for link in topo.links}
-    for link in topo.links:
-        implied = topo.reciprocal and (link.to_id, link.from_id) not in given
-        rii = 2.0 * link.rii if implied else link.rii
-        if link.from_id == agent_id:
-            peer = topo.node(link.to_id)
-            if peer.is_agent:
-                combined[peer.node_id] = combined.get(peer.node_id, 0.0) + rii
-            continue  # drop the relabeled node's anchor observations
-        if link.to_id == agent_id:
-            combined[link.from_id] = combined.get(link.from_id, 0.0) + rii
-            geometry[link.from_id] = link
-            continue
-        new_links.append(link)
-    for peer_id, total in combined.items():
-        template = geometry.get(peer_id)
-        phi = template.phi if template is not None else None
-        distance = template.distance if template is not None else None
-        new_links.append(
-            RangingLink(from_id=peer_id, to_id=agent_id, rii=total, phi=phi, distance=distance)
-        )
-    return Topology(nodes=new_nodes, links=tuple(new_links), reciprocal=topo.reciprocal)
 
 
 def anchor_equivalence_check(topo: Topology, agent_id: str, t2: float) -> float:
@@ -811,18 +813,14 @@ def anchor_equivalence_check(topo: Topology, agent_id: str, t2: float) -> float:
     scale; it tends to zero as t2 grows, which is the numerical content of
     the anchors-are-infinite-prior-agents equivalence.
     """
-    if t2 < 0.0:
-        raise ValueError("prior information t2 must be nonnegative")
+    if not (math.isfinite(t2) and t2 >= 0.0):
+        raise ValueError("prior information t2 must be finite and nonnegative")
     k = topo.index(agent_id)
     if not topo.is_agent[k]:
         raise ValueError(f"{agent_id!r} must be an agent")
     info, mean = topo.prior_info.copy(), topo.prior_mean.copy()
     info[k], mean[k] = np.diag([t2, t2]), np.nan
-    prior_topo = Topology.from_arrays(
-        topo.is_agent, topo.positions, *topo._link_arrays,
-        prior_info=info, prior_mean=mean, ids=topo.ids, reciprocal=topo.reciprocal,
-    )
-    net = build_efim(prior_topo)
+    net = build_efim(topo._replace(prior_info=info, prior_mean=mean))
     k = net.index(agent_id)
     keep = [i for i in range(net.n_agents) if i != k]
     try:

@@ -678,6 +678,18 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_dense_scaling_several_layouts_exit_one(self, tmp_path, capsys):
+        doc = {
+            "version": 1,
+            "experiment": {"kind": "dense_scaling", "trials": 2, "layouts": ["setI", "setII"]},
+        }
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["experiment", "dense_scaling", "--config", config, "--out", str(out)])
+        assert code == 1
+        assert "dense_scaling takes one anchor layout" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         target = tmp_path / "file"
         target.write_text("x")

@@ -452,6 +452,14 @@ class TestRunners:
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     ExperimentSpec(kind="extended_scaling", **{name: value})
 
+    def test_dense_scaling_rejects_several_layouts(self):
+        """The dense study runs one anchor layout; a second one is rejected
+        rather than ignored."""
+        spec = default_spec("dense_scaling", trials=2, layouts=("setI", "setII"))
+        message = r"^dense_scaling takes one anchor layout, got \['setI', 'setII'\]$"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(spec)
+
 
 class TestStudyDraws:
     """The studies draw and assemble as arrays; the network must equal the

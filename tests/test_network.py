@@ -98,6 +98,15 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology(nodes, links, reciprocal=True)
 
+    @pytest.mark.parametrize("n_nodes, dst", [(3, -1), (2, 5)])
+    def test_link_node_index_out_of_range_rejected(self, n_nodes, dst):
+        """A link end outside [0, n) is rejected, not wrapped to the last
+        node or left to fail in assembly."""
+        is_agent = [True] + [False] * (n_nodes - 1)
+        positions = np.arange(2.0 * n_nodes).reshape(-1, 2)
+        with pytest.raises(ValueError, match=rf"^link node indices must be in \[0, {n_nodes}\)$"):
+            Topology.from_arrays(is_agent, positions, [0], [dst], [1.0])
+
     def test_link_geometry_override(self):
         topo = Topology(
             (_agent("u", 0, 0), _anchor("A", 1, 0)),
@@ -700,6 +709,54 @@ class TestAnchorEquivalence:
             ]
             assert all(b < a for a, b in zip(devs, devs[1:]))
             assert devs[-1] < 1e-6
+
+    @staticmethod
+    def _override_topology():
+        """Agents a0 and u ranging with two anchors each, and u <- a0 at
+        rii 2 with a bearing override."""
+        nodes = (
+            _agent("a0", 0.0, 0.0),
+            _agent("u", 3.0, 1.0),
+            _anchor("b0", 5.0, 0.0),
+            _anchor("b1", 0.0, 5.0),
+        )
+        links = [RangingLink(a, b, 1.0) for a in ("a0", "u") for b in ("b0", "b1")]
+        return Topology(nodes, links + [RangingLink("u", "a0", 2.0, phi=0.3)])
+
+    def test_relabel_keeps_bearing_override(self):
+        """A link the relabeled agent received from a peer becomes the peer's
+        anchor link at that link's bearing override, so the deviation falls
+        as 1/t2."""
+        topo = self._override_topology()
+        for t2 in (1e3, 1e6, 1e9, 1e12):
+            assert anchor_equivalence_check(topo, "u", t2) < 2.0 / t2
+        folded = [l for l in relabel_as_anchor(topo, "u").links if l.to_id == "u"]
+        assert [(l.from_id, l.rii, l.phi) for l in folded] == [("a0", 2.0, 0.3)]
+
+    def test_limit_decreases_in_t2_phi_overrides(self):
+        """As ``test_limit_decreases_in_t2``, with a random bearing override
+        on every cooperation link."""
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            full = random_topology(rng, n_agents=int(rng.integers(2, 5)))
+            coop = full.is_agent[full.dst]
+            phi = np.where(coop, rng.uniform(-np.pi, np.pi, coop.size), np.nan)
+            topo = Topology.from_arrays(
+                full.is_agent, full.positions, full.src, full.dst, full.rii, phi, ids=full.ids
+            )
+            agent_id = rng.choice(topo.agent_ids)
+            devs = [
+                anchor_equivalence_check(topo, agent_id, t2)
+                for t2 in (1e3, 1e6, 1e9, 1e12)
+            ]
+            assert all(b < a for a, b in zip(devs, devs[1:]))
+            assert devs[-1] < 1e-6
+
+    @pytest.mark.parametrize("t2", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_t2_rejected(self, t2):
+        message = "^prior information t2 must be finite and nonnegative$"
+        with pytest.raises(ValueError, match=message):
+            anchor_equivalence_check(two_agent_topology(), "u2", t2)
 
     def test_zero_prior_contrast_is_large(self):
         topo = two_agent_topology(nu=1.0)

@@ -7,8 +7,11 @@ the package may read them or call ``network._blocks``, so the choice of
 layout stays in one module. Likewise ``network.build_efim`` is the one
 assembly: no other code of the package constructs a ``NetworkEfim``, so
 an update (``join``, ``leave``) edits the topology and assembles it again.
-Like ``test_no_dead_definitions.py``, the checks read the syntax trees
-only.
+And a ``Topology`` is arrays: its ``Node`` and ``RangingLink`` views
+(``nodes``, ``links``, ``node``, ``agents``, ``anchors``, ``link_geometry``)
+are read by ``class Topology`` alone, so no computing path of the package,
+nor an edit of a topology, goes back to objects. Like
+``test_no_dead_definitions.py``, the checks read the syntax trees only.
 """
 
 import ast
@@ -83,3 +86,40 @@ def test_the_guard_sees_a_network_efim_construction(tmp_path):
         "EMPTY = NetworkEfim((), [], [], [], [], [])\n"
     )
     assert _efim_constructions(probe) == ["probe.leave:3", "probe.<module>:4"]
+
+
+VIEWS = {"nodes", "links", "node", "agents", "anchors", "link_geometry"}
+
+
+def _view_reads(path: Path) -> list[str]:
+    """Reads of a ``Topology``'s object views outside ``class Topology``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name == "Topology":
+            return
+        if isinstance(node, ast.Attribute) and node.attr in VIEWS:
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_only_topology_reads_its_object_views():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _view_reads(path)]
+    assert hits == []
+
+
+def test_the_guard_sees_an_object_view_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class Topology:\n"
+        "    def node(self, k):\n"
+        "        return self.nodes[k]\n"
+        "def relabel(topo, k):\n"
+        "    return [l for l in topo.links if l.to_id == k], topo.node(k).position\n"
+    )
+    assert _view_reads(probe) == ["probe.py:5 .links", "probe.py:5 .node"]
